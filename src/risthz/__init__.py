@@ -5,27 +5,20 @@ stability-gap power allocation, and queueing simulation."""
 __version__ = "0.1.0"
 
 from .channel import (
-    BlockageState,
     LinkBudget,
-    PointingError,
     channel_gains,
     derive_link_budget,
     fading_coefficient,
     misalignment_cdf,
     misalignment_pdf,
-    sample_blockage,
-    sample_pointing_error,
 )
 from .config import ConfigError, SystemConfig, load_config
 from .mcsc import (
     OutageProbs,
     PowerAllocation,
     RateTargets,
-    decode,
     epsilon_threshold,
     outage_probs,
-    sinr_hc,
-    snr_lc,
 )
 from .optimizer import (
     QuadTransformState,
@@ -38,23 +31,19 @@ from .optimizer import (
     stability_gaps,
     update_mu,
 )
-from .queueing import QueueState, QueueTrace, simulate, stability_diagnostic, step
+from .queueing import QueueTrace, simulate, stability_diagnostic
 
 __all__ = [
-    "BlockageState",
     "ConfigError",
     "LinkBudget",
     "OutageProbs",
-    "PointingError",
     "PowerAllocation",
     "QuadTransformState",
-    "QueueState",
     "QueueTrace",
     "RateTargets",
     "SolveResult",
     "SystemConfig",
     "channel_gains",
-    "decode",
     "derive_link_budget",
     "epsilon_threshold",
     "fading_coefficient",
@@ -66,14 +55,9 @@ __all__ = [
     "misalignment_cdf",
     "misalignment_pdf",
     "outage_probs",
-    "sample_blockage",
-    "sample_pointing_error",
     "sca_solve",
     "simulate",
-    "sinr_hc",
-    "snr_lc",
     "stability_diagnostic",
     "stability_gaps",
-    "step",
     "update_mu",
 ]

@@ -3,8 +3,9 @@
 Covers the deterministic quantities of the two-path (direct + RIS)
 geometry: free-space/absorption path gains, Gaussian-beam widths,
 collected-power fractions, misalignment-fading distribution parameters,
-and the per-path misdetection probabilities.  Stochastic parts are
-Bernoulli blockage states and Rayleigh pointing errors.
+and the per-path misdetection probabilities, plus the fading and
+channel-gain kernel applied to sampled blockage states and pointing
+errors (floats or per-slot arrays).
 
 The error function is evaluated via ``math.erf`` (C library erf,
 correctly rounded to double precision).
@@ -40,18 +41,6 @@ class LinkBudget:
     rho_th_r: float     # half-power fading threshold A_RIS*A_r/2
     G_R: float          # RIS reflected-beam gain, linear
     sigma_n2: float     # noise power N0*B [W]
-
-
-@dataclass(frozen=True)
-class BlockageState:
-    beta_d: int  # 1 = direct link available
-    beta_r: int  # 1 = RIS link available
-
-
-@dataclass(frozen=True)
-class PointingError:
-    eps_d: float  # radial displacement, direct beam [m]
-    eps_r: float  # radial displacement, reflected beam [m]
 
 
 def collection_fraction(a: float, w: float) -> tuple[float, float]:
@@ -146,33 +135,19 @@ def misalignment_cdf(x: float, A: float, gamma_ma: float) -> float:
     return (x / A) ** (gamma_ma * gamma_ma)
 
 
-def sample_blockage(cfg: SystemConfig, rng: np.random.Generator) -> BlockageState:
-    """Draw independent Bernoulli availability indicators for both paths."""
-    beta_d = int(rng.random() >= cfg.q_d)
-    beta_r = int(rng.random() >= cfg.q_r)
-    return BlockageState(beta_d=beta_d, beta_r=beta_r)
-
-
-def sample_pointing_error(cfg: SystemConfig, rng: np.random.Generator) -> PointingError:
-    """Draw independent Rayleigh-distributed radial displacements."""
-    return PointingError(
-        eps_d=float(rng.rayleigh(cfg.sigma_md)),
-        eps_r=float(rng.rayleigh(cfg.sigma_mr)),
-    )
-
-
-def fading_coefficient(eps: float, A_peak: float, w_eq: float) -> float:
-    """Collected-power fraction rho = A_peak * exp(-2 eps^2 / w_eq^2).
+def fading_coefficient(eps, A_peak: float, w_eq: float):
+    """Collected-power fraction rho = A_peak * exp(-2 eps^2 / w_eq^2) at
+    radial pointing error ``eps`` (float or array).
 
     For the RIS path the caller passes A_peak = A_RIS * A_r.
     """
-    return A_peak * math.exp(-2.0 * eps * eps / (w_eq * w_eq))
+    return A_peak * np.exp(-2.0 * eps**2 / w_eq**2)
 
 
-def channel_gains(
-    budget: LinkBudget, beta: BlockageState, rho_d: float, rho_r: float
-) -> tuple[float, float]:
-    """Squared channel magnitudes (|h|^2, |g|^2) for given blockage and fading."""
-    h2 = beta.beta_d * budget.eta_d * budget.eta_d * rho_d
-    g2 = beta.beta_r * budget.eta_r * budget.eta_r * rho_r
-    return h2, g2
+def channel_gains(budget: LinkBudget, beta_d, beta_r, eps_d, eps_r):
+    """Squared channel magnitudes (|h|^2, |g|^2) at blockage indicators
+    ``beta_*`` (1 = path available) and pointing errors ``eps_*``, elementwise
+    over floats or per-slot arrays."""
+    rho_d = fading_coefficient(eps_d, budget.A_d, budget.w_eq_d)
+    rho_r = fading_coefficient(eps_r, budget.A_RIS * budget.A_r, budget.w_eq_r)
+    return beta_d * budget.eta_d**2 * rho_d, beta_r * budget.eta_r**2 * rho_r

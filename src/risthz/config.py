@@ -55,7 +55,11 @@ class SystemConfig:
             "f", "B", "P_max", "N0", "G_B", "G_U", "d_BU", "d_BR", "d_RU",
             "k_a", "sigma_md", "sigma_mr", "w_r", "M", "T",
         ]
-        problems = []
+        problems = [
+            f"{f.name} must be finite, got {getattr(self, f.name)}"
+            for f in fields(self)
+            if not math.isfinite(getattr(self, f.name))
+        ]
         for name in positive:
             if not getattr(self, name) > 0:
                 problems.append(f"{name} must be strictly positive")
@@ -100,10 +104,13 @@ def parse_config_text(text: str, base: SystemConfig | None = None) -> SystemConf
     """Parse a flat ``key = value`` document, overriding ``base`` field-wise.
 
     Lines starting with ``#`` (or inline ``#`` comments) are ignored.
-    Unknown keys raise :class:`ConfigError` listing every offender.
+    Unknown keys raise :class:`ConfigError` listing every offender.  A
+    value that does not parse, or a field set twice (by a repeated key, or
+    in both linear and dB form), raises it naming the line.
     """
     base = base if base is not None else SystemConfig()
     overrides: dict = {}
+    set_by: dict[str, str] = {}
     unknown = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -114,13 +121,30 @@ def parse_config_text(text: str, base: SystemConfig | None = None) -> SystemConf
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key in _DB_KEYS:
-            field, conv = _DB_KEYS[key]
-            overrides[field] = conv(float(value))
-        elif key in _FIELD_NAMES:
-            overrides[key] = int(value) if key == "N_R" else float(value)
-        else:
+        field, to_linear = _DB_KEYS.get(key, (key, None))
+        if field not in _FIELD_NAMES:
             unknown.append(key)
+            continue
+        parse = int if key == "N_R" else float
+        try:
+            number = parse(value)
+            overrides[field] = to_linear(number) if to_linear else number
+        except ValueError:
+            kind = "an integer" if parse is int else "a number"
+            raise ConfigError(
+                f"line {lineno}: {key} must be {kind}, got {value!r}"
+            ) from None
+        except OverflowError:
+            raise ConfigError(
+                f"line {lineno}: {key} = {value} is out of range"
+            ) from None
+        if field in set_by:
+            first = set_by[field]
+            raise ConfigError(
+                f"line {lineno}: duplicate key {key}" if first == key
+                else f"line {lineno}: {first} and {key} both set {field}"
+            )
+        set_by[field] = key
     if unknown:
         raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
     return base.with_(**overrides)

@@ -24,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .channel import collection_fraction, derive_link_budget, ris_gain
+from .channel import channel_gains, collection_fraction, derive_link_budget, ris_gain
 from .config import SystemConfig
 from .mcsc import outage_probs
 from .optimizer import (
@@ -46,7 +46,6 @@ W_R_MAX = 10.0
 
 DEFAULT_ALPHA_TOL = 1e-3
 DEFAULT_N_SLOTS = 20000
-DEFAULT_N_REPS = 20
 
 
 class BeamAdaptationError(ValueError):
@@ -304,14 +303,13 @@ def adapt_beamwidth(cfg: SystemConfig, target_P_out_h: float) -> tuple[float, fl
     grows like w_r for wide beams, with a minimum near w_r ~ a_U.  The
     adaptation widens the beam (trading RIS gain for misalignment
     robustness), so the inversion uses the increasing wide-beam branch,
-    whose monotonicity is asserted numerically.  If the target can be
+    whose monotonicity is checked numerically.  If the target can be
     met by any beam, returns the narrowest (highest-gain) bracket beam
     by convention.
     """
     if not 0.0 < target_P_out_h <= 1.0:
         raise ValueError("target_P_out_h must lie in (0, 1]")
-    budget = derive_link_budget(cfg)
-    fail_d = 1.0 - (1.0 - cfg.q_d) * (1.0 - budget.q_md)
+    fail_d = outage_probs(cfg, derive_link_budget(cfg)).P_out_l
     ratio = target_P_out_h / fail_d
     if ratio >= 1.0:
         return W_R_MIN, ris_gain(cfg.d_RU, W_R_MIN)
@@ -329,8 +327,8 @@ def adapt_beamwidth(cfg: SystemConfig, target_P_out_h: float) -> tuple[float, fl
     logs = [_log_w_eq_of_w_r(cfg, float(w)) for w in probes]
     i_min = int(np.argmin(logs))
     branch = logs[i_min:]
-    assert all(b > a for a, b in zip(branch, branch[1:])), \
-        "w_eq(w_r) not monotone on the wide-beam branch"
+    if not all(b > a for a, b in zip(branch, branch[1:])):
+        raise BeamAdaptationError("w_eq(w_r) not monotone on the wide-beam branch")
     if not branch[0] <= log_target <= branch[-1]:
         raise BeamAdaptationError(
             f"required equivalent width {math.exp(log_target):.4g} m outside "
@@ -422,9 +420,7 @@ def _strict_hc_point(
     cfg: SystemConfig, alpha_min: float, target: float, sigma_m: float
 ) -> list[dict]:
     cfg_s = cfg.with_(sigma_md=sigma_m, sigma_mr=2.0 * sigma_m)
-    budget = derive_link_budget(cfg_s)
-    fail_d = 1.0 - (1.0 - cfg_s.q_d) * (1.0 - budget.q_md)
-    if target >= fail_d:
+    if target >= outage_probs(cfg_s, derive_link_budget(cfg_s)).P_out_l:
         # equality unreachable: the target is met for every beamwidth
         cfg_ad = cfg_s
     else:
@@ -457,10 +453,7 @@ def simulate_time_sharing(
     rng = np.random.default_rng(seed)
     arrivals = sample_arrivals(cfg, n_slots, rng)
     beta_d, beta_r, eps_d, eps_r = sample_channel_slots(cfg, n_slots, rng)
-    rho_d = budget.A_d * np.exp(-2.0 * eps_d**2 / budget.w_eq_d**2)
-    rho_r = budget.A_RIS * budget.A_r * np.exp(-2.0 * eps_r**2 / budget.w_eq_r**2)
-    h2 = beta_d * budget.eta_d**2 * rho_d
-    g2 = beta_r * budget.eta_r**2 * rho_r
+    h2, g2 = channel_gains(budget, beta_d, beta_r, eps_d, eps_r)
     s2 = budget.sigma_n2
     r_h = cfg.B * np.log2(1.0 + (h2 * tsp.p_h_d + g2 * tsp.p_h_r) / s2)
     r_l = cfg.B * np.log2(1.0 + h2 * cfg.P_max / s2)

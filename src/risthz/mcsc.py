@@ -1,8 +1,8 @@
 """Mixed-criticality superposition-coding signal model.
 
-SINR expressions for the two superposed streams, successive decoding
-indicators, half-power pointing-error thresholds, and the closed-form
-outage probabilities used by the power optimizer.
+SINR expressions for the two superposed streams, half-power
+pointing-error thresholds, and the closed-form outage probabilities used
+by the power optimizer.
 """
 
 from __future__ import annotations
@@ -10,13 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import (
-    BlockageState,
-    LinkBudget,
-    PointingError,
-    channel_gains,
-    fading_coefficient,
-)
+from .channel import LinkBudget
 from .config import SystemConfig
 
 # exp(-2 eps_th^2 / w_eq^2) = 1/2  at  eps_th = sqrt(ln(sqrt(2))) * w_eq
@@ -54,54 +48,16 @@ class OutageProbs:
     P_out_l: float
 
 
-def sinr_hc(
-    budget: LinkBudget,
-    beta: BlockageState,
-    rho_d: float,
-    rho_r: float,
-    p: PowerAllocation,
-) -> float:
-    """SINR of the HC stream (decoded first, LC acts as interference)."""
-    h2, g2 = channel_gains(budget, beta, rho_d, rho_r)
-    return (h2 * p.p_h_d + g2 * p.p_h_r) / (
-        h2 * p.p_l_d + g2 * p.p_l_r + budget.sigma_n2
-    )
+def sinr(h2, g2, p: PowerAllocation, sigma_n2: float):
+    """(SINR of the HC stream, SNR of the LC stream) at squared channel
+    magnitudes ``h2`` = |h|^2 and ``g2`` = |g|^2 (floats or arrays).
 
-
-def snr_lc(
-    budget: LinkBudget,
-    beta: BlockageState,
-    rho_d: float,
-    rho_r: float,
-    p: PowerAllocation,
-) -> float:
-    """SNR of the LC stream after HC cancellation (validity of the
-    cancellation is enforced by :func:`decode`, not here)."""
-    h2, g2 = channel_gains(budget, beta, rho_d, rho_r)
-    return (h2 * p.p_l_d + g2 * p.p_l_r) / budget.sigma_n2
-
-
-def decode(
-    budget: LinkBudget,
-    beta: BlockageState,
-    eps: PointingError,
-    p: PowerAllocation,
-    targets: RateTargets,
-    B: float,
-) -> tuple[int, int]:
-    """Successive-decoding outcome (xi_h, xi_l) at a sampled channel state.
-
-    HC is decoded first; LC requires successful HC cancellation.
+    HC is decoded first with LC as interference; the LC value assumes the
+    HC cancellation succeeded, which the decoder checks separately.
     """
-    rho_d = fading_coefficient(eps.eps_d, budget.A_d, budget.w_eq_d)
-    rho_r = fading_coefficient(eps.eps_r, budget.A_RIS * budget.A_r, budget.w_eq_r)
-    r_h = B * math.log2(1.0 + sinr_hc(budget, beta, rho_d, rho_r, p))
-    xi_h = int(r_h >= targets.R_h)
-    if not xi_h:
-        return 0, 0
-    r_l = B * math.log2(1.0 + snr_lc(budget, beta, rho_d, rho_r, p))
-    xi_l = int(r_l >= targets.R_l)
-    return xi_h, xi_l
+    gam_h = (h2 * p.p_h_d + g2 * p.p_h_r) / (h2 * p.p_l_d + g2 * p.p_l_r + sigma_n2)
+    gam_l = (h2 * p.p_l_d + g2 * p.p_l_r) / sigma_n2
+    return gam_h, gam_l
 
 
 def epsilon_threshold(budget: LinkBudget) -> tuple[float, float]:

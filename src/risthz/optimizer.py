@@ -31,17 +31,6 @@ from .mcsc import OutageProbs, PowerAllocation, RateTargets, outage_probs
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Blockage states over which the HC rate constraint must hold.
-HC_STATES = ((0, 1), (1, 0), (1, 1))
-
-
-class SubproblemError(RuntimeError):
-    """Inner solver failed to converge; carries the best iterate found."""
-
-    def __init__(self, message: str, best: PowerAllocation):
-        super().__init__(message)
-        self.best = best
-
 
 @dataclass(frozen=True)
 class ThresholdGains:
@@ -82,20 +71,26 @@ class SolveResult:
     objective_trace: list[float] = field(default_factory=list)
 
 
-def _hc_sinr_states(p: PowerAllocation, g: ThresholdGains) -> list[float]:
-    """Worst-case HC SINR per blockage state at threshold fading."""
-    out = []
-    for beta_d, beta_r in HC_STATES:
-        sig = beta_d * g.c_d * p.p_h_d + beta_r * g.c_r * p.p_h_r
-        itf = beta_d * g.c_d * p.p_l_d + beta_r * g.c_r * p.p_l_r + g.sigma_n2
-        out.append(sig / itf)
-    return out
+def hc_state_terms(p: PowerAllocation, g: ThresholdGains):
+    """(signal, interference + noise) of the HC stream at threshold fading
+    in the blockage states (0,1), (1,0) and (1,1), in that order.
+
+    Plain arithmetic, so the powers may be floats (the SCA inner loop) or
+    equal-shape arrays (the grid oracles) with the same rounding.
+    """
+    sig_d, sig_r = g.c_d * p.p_h_d, g.c_r * p.p_h_r
+    itf_d, itf_r = g.c_d * p.p_l_d, g.c_r * p.p_l_r
+    return (
+        (sig_r, itf_r + g.sigma_n2),
+        (sig_d, itf_d + g.sigma_n2),
+        (sig_d + sig_r, itf_d + itf_r + g.sigma_n2),
+    )
 
 
 def hc_service_rate(p: PowerAllocation, cfg: SystemConfig, budget: LinkBudget) -> float:
     """Robust HC rate: B log2(1 + min-state SINR at threshold fading) [bit/s]."""
-    g = threshold_gains(budget)
-    return cfg.B * math.log2(1.0 + min(_hc_sinr_states(p, g)))
+    terms = hc_state_terms(p, threshold_gains(budget))
+    return cfg.B * math.log2(1.0 + min(sig / itf for sig, itf in terms))
 
 
 def lc_service_rate(p: PowerAllocation, cfg: SystemConfig, budget: LinkBudget) -> float:
@@ -108,7 +103,8 @@ def lc_service_rate(p: PowerAllocation, cfg: SystemConfig, budget: LinkBudget) -
 def stability_gaps(
     R: RateTargets, cfg: SystemConfig, outage: OutageProbs
 ) -> tuple[float, float]:
-    """Per-queue stability gaps (delta_h, delta_l) [packets/slot].
+    """Per-queue stability gaps (delta_h, delta_l) [packets/slot], elementwise
+    when the rates are arrays.
 
     delta = (successfully-served packet rate) / class weight - A_bar.
     A class with zero weight has a vacuously stable queue; its gap is
@@ -143,24 +139,19 @@ def update_mu(p: PowerAllocation, budget: LinkBudget) -> QuadTransformState:
     """Closed-form optimal quadratic-transform multipliers at fixed powers:
     mu* = sqrt(signal) / (interference + noise) per constraint."""
     g = threshold_gains(budget)
-    mus = []
-    for beta_d, beta_r in HC_STATES:
-        sig = beta_d * g.c_d * p.p_h_d + beta_r * g.c_r * p.p_h_r
-        itf = beta_d * g.c_d * p.p_l_d + beta_r * g.c_r * p.p_l_r + g.sigma_n2
-        mus.append(math.sqrt(sig) / itf)
+    terms = hc_state_terms(p, g)
+    mu_01, mu_10, mu_11 = (math.sqrt(sig) / itf for sig, itf in terms)
     mu_l = math.sqrt(g.c_d * p.p_l_d) / g.sigma_n2
-    return QuadTransformState(mu_h_01=mus[0], mu_h_10=mus[1], mu_h_11=mus[2], mu_l=mu_l)
+    return QuadTransformState(mu_h_01=mu_01, mu_h_10=mu_10, mu_h_11=mu_11, mu_l=mu_l)
 
 
 def surrogate_gamma_h(p: PowerAllocation, mu: QuadTransformState, g: ThresholdGains) -> float:
     """Largest gamma_h satisfying every g_{h,beta} <= 0 at fixed mu
     (negative bounds clamp to zero so the rate stays defined)."""
     best = math.inf
-    for (beta_d, beta_r), m in zip(
-        HC_STATES, (mu.mu_h_01, mu.mu_h_10, mu.mu_h_11)
+    for (sig, itf), m in zip(
+        hc_state_terms(p, g), (mu.mu_h_01, mu.mu_h_10, mu.mu_h_11)
     ):
-        sig = beta_d * g.c_d * p.p_h_d + beta_r * g.c_r * p.p_h_r
-        itf = beta_d * g.c_d * p.p_l_d + beta_r * g.c_r * p.p_l_r + g.sigma_n2
         best = min(best, 2.0 * m * math.sqrt(sig) - m * m * itf)
     return max(0.0, best)
 
@@ -314,34 +305,14 @@ def sca_solve(
 
 
 def _grid_objective(
-    phd: np.ndarray,
-    phr: np.ndarray,
-    pld: np.ndarray,
-    plr: np.ndarray,
-    cfg: SystemConfig,
-    g: ThresholdGains,
-    outage: OutageProbs,
+    p: PowerAllocation, cfg: SystemConfig, g: ThresholdGains, outage: OutageProbs
 ) -> np.ndarray:
-    """Vectorized true objective over arrays of power allocations."""
-    s2 = g.sigma_n2
-    gam_01 = (g.c_r * phr) / (g.c_r * plr + s2)
-    gam_10 = (g.c_d * phd) / (g.c_d * pld + s2)
-    gam_11 = (g.c_d * phd + g.c_r * phr) / (g.c_d * pld + g.c_r * plr + s2)
+    """Vectorized true objective over a power allocation of arrays."""
+    gam_01, gam_10, gam_11 = (sig / itf for sig, itf in hc_state_terms(p, g))
     gam_h = np.minimum(np.minimum(gam_01, gam_10), gam_11)
     R_h = cfg.B * np.log2(1.0 + gam_h)
-    R_l = cfg.B * np.log2(1.0 + g.c_d * pld / s2)
-    tm = cfg.T / cfg.M
-    if cfg.alpha == 0.0:
-        d_h = np.full_like(R_h, np.inf)
-    else:
-        d_h = ((1.0 - outage.P_out_h) * tm * R_h - cfg.alpha * cfg.A_bar) / cfg.alpha
-    if cfg.alpha == 1.0:
-        d_l = np.full_like(R_l, np.inf)
-    else:
-        d_l = (
-            (1.0 - outage.P_out_l) * tm * R_l - (1.0 - cfg.alpha) * cfg.A_bar
-        ) / (1.0 - cfg.alpha)
-    return np.minimum(d_h, d_l)
+    R_l = cfg.B * np.log2(1.0 + g.c_d * p.p_l_d / g.sigma_n2)
+    return np.minimum(*stability_gaps(RateTargets(R_h, R_l), cfg, outage))
 
 
 def grid_oracle(
@@ -368,10 +339,8 @@ def grid_oracle(
     def scan(phd, phr):
         ok = (phd >= 0) & (phr >= 0) & (phd + phr <= P)
         phd, phr = phd[ok], phr[ok]
-        obj = _grid_objective(
-            phd, phr, P - phd - phr, np.zeros_like(phd), cfg, g, outage
-        )
-        return phd, phr, obj
+        p = PowerAllocation(phd, phr, P - phd - phr, np.zeros_like(phd))
+        return phd, phr, _grid_objective(p, cfg, g, outage)
 
     i, j = np.meshgrid(np.arange(n_grid + 1), np.arange(n_grid + 1), indexing="ij")
     mask = i + j <= n_grid
@@ -418,7 +387,7 @@ def grid_oracle_3d(
     phr = j * (P / n_grid)
     pld = k * (P / n_grid)
     plr = (n_grid - i - j - k) * (P / n_grid)
-    obj = _grid_objective(phd, phr, pld, plr, cfg, g, outage)
+    obj = _grid_objective(PowerAllocation(phd, phr, pld, plr), cfg, g, outage)
     m = int(np.argmax(obj))
     p = PowerAllocation(float(phd[m]), float(phr[m]), float(pld[m]), float(plr[m]))
     R = RateTargets(

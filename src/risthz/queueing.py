@@ -1,10 +1,21 @@
 """Slot-level Monte-Carlo simulation of the two-buffer queueing system.
 
 Poisson packet arrivals are split deterministically into HC/LC fractions
-(fluid packets, exactly as in the queue recursion; integer binomial
-thinning is available as a sensitivity option).  Channel states are
-redrawn independently every slot, decode outcomes follow the exact rate
-comparison, and delays are obtained from Little's law.
+(fluid packets).  Channel states are redrawn independently every slot,
+decode outcomes follow the exact rate comparison, and delays are
+obtained from Little's law.
+
+Each queue follows Q_t = max(Q_{t-1} - s_t, 0) + a_t from an empty
+buffer, with service s_t and arrivals a_t in packets.  Q_t is the
+post-arrival length that traces record; delay statistics use the waiting
+backlog U_t = Q_t - a_t, so a packet's own arrival slot does not count
+towards its waiting time.  U obeys Lindley's recursion (D. V. Lindley,
+"The theory of queues with a single server", 1952)
+U_t = max(U_{t-1} + a_{t-1} - s_t, 0) with a_{-1} = 0, whose closed form
+
+    X = cumsum(a_{t-1} - s_t),    U = X - min(0, cummin X)
+
+evaluates a whole trace with array operations and no slot loop.
 """
 
 from __future__ import annotations
@@ -15,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LinkBudget
+from .channel import LinkBudget, channel_gains
 from .config import SystemConfig
-from .mcsc import RateTargets
+from .mcsc import RateTargets, sinr
 from .optimizer import SolveResult
 
 DEFAULT_WARMUP_FRAC = 0.1
@@ -26,12 +37,6 @@ SLOPE_TOL_FACTOR = 1e-3  # unstable if fitted slope > 1e-3 * A_bar packets/slot^
 
 class InsufficientDataError(ValueError):
     """Trace too short for a stability verdict."""
-
-
-@dataclass(frozen=True)
-class QueueState:
-    Q_h: float
-    Q_l: float
 
 
 @dataclass
@@ -88,29 +93,11 @@ class QueueTrace:
                 )
 
 
-def step(
-    state: QueueState,
-    arrivals: float,
-    xi: tuple[int, int],
-    R: RateTargets,
-    cfg: SystemConfig,
-) -> QueueState:
-    """One slot of the queue recursion: serve the pre-arrival backlog,
-    then add the new (fractionally split) arrivals."""
-    tm = cfg.T / cfg.M
-    q_h = max(state.Q_h - xi[0] * tm * R.R_h, 0.0) + cfg.alpha * arrivals
-    q_l = max(state.Q_l - xi[1] * tm * R.R_l, 0.0) + (1.0 - cfg.alpha) * arrivals
-    return QueueState(Q_h=q_h, Q_l=q_l)
-
-
-def _recurse(service: np.ndarray, arrivals: np.ndarray) -> np.ndarray:
-    """Serial queue recursion Q_t = max(Q_{t-1} - s_t, 0) + a_t."""
-    q = np.empty(len(arrivals))
-    backlog = 0.0
-    for t in range(len(arrivals)):
-        backlog = max(backlog - service[t], 0.0) + arrivals[t]
-        q[t] = backlog
-    return q
+def _lindley(service: np.ndarray, arrivals: np.ndarray) -> np.ndarray:
+    """Post-arrival queue lengths Q = U + a, with the waiting backlog U
+    in Lindley's closed form (see the module docstring)."""
+    x = np.cumsum(np.concatenate(([0.0], arrivals[:-1])) - service)
+    return x - np.minimum(np.minimum.accumulate(x), 0.0) + arrivals
 
 
 def _summarize(trace: QueueTrace, warmup_frac: float) -> None:
@@ -151,18 +138,11 @@ def decode_slots(
     eps_d: np.ndarray,
     eps_r: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized successive-decoding outcomes over sampled channel slots.
-
-    Same rule as :func:`risthz.mcsc.decode`: exact rate comparison at the
-    sampled fading, HC first, LC conditional on HC cancellation.
-    """
-    rho_d = budget.A_d * np.exp(-2.0 * eps_d**2 / budget.w_eq_d**2)
-    rho_r = budget.A_RIS * budget.A_r * np.exp(-2.0 * eps_r**2 / budget.w_eq_r**2)
-    h2 = beta_d * budget.eta_d**2 * rho_d
-    g2 = beta_r * budget.eta_r**2 * rho_r
-    s2 = budget.sigma_n2
-    gam_h = (h2 * p.p_h_d + g2 * p.p_h_r) / (h2 * p.p_l_d + g2 * p.p_l_r + s2)
-    gam_l = (h2 * p.p_l_d + g2 * p.p_l_r) / s2
+    """Successive-decoding outcomes (xi_h, xi_l) over sampled channel slots:
+    exact rate comparison at the sampled fading, HC first, LC conditional
+    on HC cancellation."""
+    h2, g2 = channel_gains(budget, beta_d, beta_r, eps_d, eps_r)
+    gam_h, gam_l = sinr(h2, g2, p, budget.sigma_n2)
     r_h = cfg.B * np.log2(1.0 + gam_h)
     r_l = cfg.B * np.log2(1.0 + gam_l)
     xi_h = (r_h >= targets.R_h).astype(np.int8)
@@ -186,8 +166,8 @@ def run_queues(
     warmup_frac: float = DEFAULT_WARMUP_FRAC,
 ) -> QueueTrace:
     """Drive both queue recursions and attach summary statistics."""
-    q_h = _recurse(service_h, cfg.alpha * arrivals)
-    q_l = _recurse(service_l, (1.0 - cfg.alpha) * arrivals)
+    q_h = _lindley(service_h, cfg.alpha * arrivals)
+    q_l = _lindley(service_l, (1.0 - cfg.alpha) * arrivals)
     trace = QueueTrace(
         arrivals=arrivals,
         q_h=q_h,

@@ -8,9 +8,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from risthz.channel import (
-    BlockageState,
     channel_gains,
     collection_fraction,
     derive_link_budget,
@@ -19,10 +21,9 @@ from risthz.channel import (
     misalignment_cdf,
     misalignment_pdf,
     ris_gain,
-    sample_blockage,
-    sample_pointing_error,
 )
 from risthz.config import ConfigError, SystemConfig, parse_config_text
+from risthz.queueing import sample_channel_slots
 
 # Independently scripted one-line evaluations for the default config.
 ETA_D = 0.0295658402901406
@@ -42,6 +43,14 @@ SIGMA_N2 = 3.981071705534985e-11
 
 def rel(a, b):
     return abs(a - b) / max(abs(b), 1e-300)
+
+
+def scalar_gains(budget, beta_d, beta_r, eps_d, eps_r):
+    """Per-slot reference for ``channel_gains``: the fading coefficient and
+    |h|^2, |g|^2 written out with scalar math."""
+    rho_d = budget.A_d * math.exp(-2.0 * eps_d**2 / budget.w_eq_d**2)
+    rho_r = budget.A_RIS * budget.A_r * math.exp(-2.0 * eps_r**2 / budget.w_eq_r**2)
+    return beta_d * budget.eta_d**2 * rho_d, beta_r * budget.eta_r**2 * rho_r
 
 
 class TestDeriveLinkBudget:
@@ -153,25 +162,25 @@ class TestMisalignmentDistribution:
 
 class TestSampling:
     def test_degenerate_blockage(self):
-        rng = np.random.default_rng(0)
         always = SystemConfig(q_d=0.0, q_r=1.0)
-        for _ in range(50):
-            state = sample_blockage(always, rng)
-            assert state.beta_d == 1
-            assert state.beta_r == 0
+        rng = np.random.default_rng(0)
+        beta_d, beta_r, _, _ = sample_channel_slots(always, 50, rng)
+        assert np.all(beta_d == 1)
+        assert np.all(beta_r == 0)
 
     def test_blockage_marginals(self, cfg):
-        rng = np.random.default_rng(1)
         n = 1_000_000
-        blocked = sum(1 - sample_blockage(cfg, rng).beta_d for _ in range(n))
-        sigma3 = 3 * math.sqrt(cfg.q_d * (1 - cfg.q_d) / n)
-        assert abs(blocked / n - cfg.q_d) < sigma3
+        beta_d, beta_r, _, _ = sample_channel_slots(cfg, n, np.random.default_rng(1))
+        for beta, q in ((beta_d, cfg.q_d), (beta_r, cfg.q_r)):
+            sigma3 = 3 * math.sqrt(q * (1 - q) / n)
+            assert abs(np.mean(1 - beta) - q) < sigma3
 
     def test_pointing_error_determinism_and_positivity(self, cfg):
-        a = sample_pointing_error(cfg, np.random.default_rng(7))
-        b = sample_pointing_error(cfg, np.random.default_rng(7))
-        assert a == b
-        assert a.eps_d >= 0 and a.eps_r >= 0
+        a = sample_channel_slots(cfg, 100, np.random.default_rng(7))
+        b = sample_channel_slots(cfg, 100, np.random.default_rng(7))
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
+        assert np.all(a[2] >= 0) and np.all(a[3] >= 0)
 
 
 class TestFadingAndGains:
@@ -187,25 +196,39 @@ class TestFadingAndGains:
         assert fading_coefficient(100.0, 1.0, 0.4) == 0.0
 
     def test_full_blockage(self, budget):
-        h2, g2 = channel_gains(budget, BlockageState(0, 0), budget.A_d, 1e-5)
+        h2, g2 = channel_gains(budget, 0, 0, 0.0, 0.01)
         assert (h2, g2) == (0.0, 0.0)
 
     def test_peak_gains(self, budget):
-        h2, g2 = channel_gains(
-            budget, BlockageState(1, 1), budget.A_d, budget.A_RIS * budget.A_r
-        )
+        h2, g2 = channel_gains(budget, 1, 1, 0.0, 0.0)
         assert rel(h2, budget.eta_d**2 * budget.A_d) < 1e-14
         assert rel(g2, budget.eta_r**2 * budget.A_RIS * budget.A_r) < 1e-14
 
     def test_factorization(self, budget):
+        # |h|^2 = beta_d eta_d^2 rho_d elementwise, with blocked slots exactly 0.
         rng = np.random.default_rng(3)
-        for _ in range(20):
-            beta = BlockageState(int(rng.integers(2)), int(rng.integers(2)))
-            rho_d = float(rng.uniform(0, budget.A_d))
-            rho_r = float(rng.uniform(0, budget.A_RIS * budget.A_r))
-            h2, g2 = channel_gains(budget, beta, rho_d, rho_r)
-            assert h2 == beta.beta_d * budget.eta_d**2 * rho_d
-            assert g2 == beta.beta_r * budget.eta_r**2 * rho_r
+        beta_d, beta_r = rng.integers(2, size=(2, 20), dtype=np.int8)
+        eps_d, eps_r = rng.rayleigh(0.2, size=(2, 20))
+        h2, g2 = channel_gains(budget, beta_d, beta_r, eps_d, eps_r)
+        rho_d = fading_coefficient(eps_d, budget.A_d, budget.w_eq_d)
+        rho_r = fading_coefficient(eps_r, budget.A_RIS * budget.A_r, budget.w_eq_r)
+        assert np.array_equal(h2, beta_d * budget.eta_d**2 * rho_d)
+        assert np.array_equal(g2, beta_r * budget.eta_r**2 * rho_r)
+        assert np.all(h2[beta_d == 0] == 0.0) and np.all(g2[beta_r == 0] == 0.0)
+
+    @given(
+        blocks=hnp.arrays(np.int8, (2, 30), elements=st.integers(0, 1)),
+        eps=hnp.arrays(np.float64, (2, 30), elements=st.floats(0.0, 3.0)),
+    )
+    def test_array_kernel_matches_scalar_reference(self, budget, blocks, eps):
+        h2, g2 = channel_gains(budget, blocks[0], blocks[1], eps[0], eps[1])
+        for t in range(30):
+            want_h2, want_g2 = scalar_gains(
+                budget, int(blocks[0, t]), int(blocks[1, t]), float(eps[0, t]),
+                float(eps[1, t]),
+            )
+            assert h2[t] == pytest.approx(want_h2, rel=1e-14, abs=1e-300)
+            assert g2[t] == pytest.approx(want_g2, rel=1e-14, abs=1e-300)
 
 
 class TestConfig:
@@ -230,6 +253,21 @@ class TestConfig:
             SystemConfig(q_d=1.5)
         with pytest.raises(ConfigError):
             SystemConfig(N_R=40001)  # not a perfect square
+        for text in (
+            "f = abc",                    # not a number
+            "N_R = 4e4",                  # not an integer
+            "A_bar = nan",
+            "P_max = inf",
+            "d_BU = -inf",
+            "G_B_db = 1e5",               # overflows in the dB conversion
+            "q_d = 0.1\nq_d = 0.2",       # duplicate key
+            "G_B = 1e4\nG_B_db = 40",     # linear and dB form of one field
+        ):
+            with pytest.raises(ConfigError):
+                parse_config_text(text)
+        for name in ("f", "A_bar", "k_a", "q_r"):
+            with pytest.raises(ConfigError, match="finite"):
+                SystemConfig(**{name: math.nan})
 
     def test_frequency_validity_warning(self):
         with pytest.warns(UserWarning, match="GHz"):

@@ -88,6 +88,13 @@ class TestSubcommands:
         assert proc.returncode == EXIT_CONFIG
         assert "no_such_knob" in proc.stderr
 
+    def test_unparsable_config_value_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("N_R = 4e4\n")
+        assert main(["solve", "--config", str(bad)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "config error: line 1: N_R must be an integer, got '4e4'\n"
+
     def test_infeasible_beam_target_exit_code(self):
         proc = run_cli(
             "strict-hc", "--sigma-grid", "0.14:1:0.14", "--target", "1e-9",

@@ -9,6 +9,7 @@ from risthz.channel import derive_link_budget
 from risthz.config import SystemConfig
 from risthz.mcsc import outage_probs
 from risthz.optimizer import max_arrival_rate, sca_solve
+from risthz import experiments
 from risthz.experiments import (
     BeamAdaptationError,
     W_R_MIN,
@@ -124,6 +125,16 @@ class TestAdaptBeamwidth:
     def test_target_below_blockage_floor(self, cfg):
         with pytest.raises(BeamAdaptationError, match="floor"):
             adapt_beamwidth(cfg, 1e-6)
+
+    def test_non_monotone_branch_raises(self, cfg, monkeypatch):
+        # a wiggle past the minimum breaks the bisection's premise; this
+        # must raise even under ``python -O``, so it is no assert
+        monkeypatch.setattr(
+            experiments, "_log_w_eq_of_w_r",
+            lambda c, w: math.log(w) ** 2 + 0.1 * math.sin(20.0 * math.log(w)),
+        )
+        with pytest.raises(BeamAdaptationError, match="not monotone"):
+            adapt_beamwidth(cfg, 0.05)
 
     def test_round_trip_random_pairs(self, cfg):
         rng = np.random.default_rng(13)

@@ -4,18 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from risthz.channel import BlockageState, PointingError, derive_link_budget
+from risthz.channel import derive_link_budget
 from risthz.config import SystemConfig
 from risthz.mcsc import (
     PowerAllocation,
     RateTargets,
-    decode,
     epsilon_threshold,
     outage_probs,
-    sinr_hc,
-    snr_lc,
+    sinr,
 )
+from risthz.queueing import decode_slots
 
 EPS_TH_D = 0.24982458980940947  # hand evaluation for the default config
 EPS_TH_R = 0.47099487402555823
@@ -25,104 +27,139 @@ def rel(a, b):
     return abs(a - b) / max(abs(b), 1e-300)
 
 
+def scalar_decode(budget, beta, eps, p, targets, B):
+    """Per-slot reference for ``decode_slots``: fading, gains, SINRs and the
+    successive-decoding rule written out with scalar math.  Returns
+    (xi_h, xi_l) and the two rates."""
+    rho_d = budget.A_d * math.exp(-2.0 * eps[0] ** 2 / budget.w_eq_d**2)
+    rho_r = budget.A_RIS * budget.A_r * math.exp(-2.0 * eps[1] ** 2 / budget.w_eq_r**2)
+    h2 = beta[0] * budget.eta_d**2 * rho_d
+    g2 = beta[1] * budget.eta_r**2 * rho_r
+    gam_h = (h2 * p.p_h_d + g2 * p.p_h_r) / (
+        h2 * p.p_l_d + g2 * p.p_l_r + budget.sigma_n2
+    )
+    gam_l = (h2 * p.p_l_d + g2 * p.p_l_r) / budget.sigma_n2
+    r_h = B * math.log2(1.0 + gam_h)
+    r_l = B * math.log2(1.0 + gam_l)
+    xi_h = int(r_h >= targets.R_h)
+    return (xi_h, int(xi_h and r_l >= targets.R_l)), (r_h, r_l)
+
+
+def decode_one(cfg, budget, beta, eps, p, targets):
+    xi_h, xi_l = decode_slots(
+        cfg, budget, p, targets, np.array([beta[0]], dtype=np.int8),
+        np.array([beta[1]], dtype=np.int8), np.array([eps[0]]), np.array([eps[1]]),
+    )
+    return int(xi_h[0]), int(xi_l[0])
+
+
 class TestSinr:
     def test_no_interference_reduces_to_snr(self, budget):
         p = PowerAllocation(2e-3, 3e-3, 0.0, 0.0)
-        rho_d, rho_r = budget.A_d, budget.A_RIS * budget.A_r
-        got = sinr_hc(budget, BlockageState(1, 1), rho_d, rho_r, p)
-        h2 = budget.eta_d**2 * rho_d
-        g2 = budget.eta_r**2 * rho_r
+        h2 = budget.eta_d**2 * budget.A_d
+        g2 = budget.eta_r**2 * budget.A_RIS * budget.A_r
+        got, _ = sinr(h2, g2, p, budget.sigma_n2)
         assert rel(got, (h2 * p.p_h_d + g2 * p.p_h_r) / budget.sigma_n2) < 1e-14
 
     def test_full_blockage_zero(self, budget):
         p = PowerAllocation(2e-3, 3e-3, 5e-3)
-        assert sinr_hc(budget, BlockageState(0, 0), budget.A_d, 1e-5, p) == 0.0
+        assert sinr(0.0, 0.0, p, budget.sigma_n2) == (0.0, 0.0)
 
     def test_generic_matches_scalar_evaluation(self, budget):
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            p = PowerAllocation(*rng.uniform(0, 2.5e-3, 4))
-            rho_d = float(rng.uniform(0, budget.A_d))
-            rho_r = float(rng.uniform(0, budget.A_RIS * budget.A_r))
-            beta = BlockageState(int(rng.integers(2)), int(rng.integers(2)))
-            h2 = beta.beta_d * budget.eta_d**2 * rho_d
-            g2 = beta.beta_r * budget.eta_r**2 * rho_r
-            want = (h2 * p.p_h_d + g2 * p.p_h_r) / (
-                h2 * p.p_l_d + g2 * p.p_l_r + budget.sigma_n2
+        n = 20
+        p = PowerAllocation(*rng.uniform(0, 2.5e-3, (4, n)))
+        beta_d, beta_r = rng.integers(2, size=(2, n))
+        h2 = beta_d * budget.eta_d**2 * rng.uniform(0, budget.A_d, n)
+        g2 = beta_r * budget.eta_r**2 * rng.uniform(0, budget.A_RIS * budget.A_r, n)
+        gam_h, gam_l = sinr(h2, g2, p, budget.sigma_n2)
+        for t in range(n):
+            want = (h2[t] * p.p_h_d[t] + g2[t] * p.p_h_r[t]) / (
+                h2[t] * p.p_l_d[t] + g2[t] * p.p_l_r[t] + budget.sigma_n2
             )
-            got = sinr_hc(budget, beta, rho_d, rho_r, p)
-            assert rel(got, want) < 1e-14
-            want_l = (h2 * p.p_l_d + g2 * p.p_l_r) / budget.sigma_n2
-            assert rel(snr_lc(budget, beta, rho_d, rho_r, p), want_l) < 1e-14
+            assert rel(gam_h[t], want) < 1e-14
+            want_l = (h2[t] * p.p_l_d[t] + g2[t] * p.p_l_r[t]) / budget.sigma_n2
+            assert rel(gam_l[t], want_l) < 1e-14
 
     def test_lc_zero_cases(self, budget):
+        h2, g2 = budget.eta_d**2 * budget.A_d, 1e-12
         p0 = PowerAllocation(1e-3, 1e-3, 0.0, 0.0)
-        assert snr_lc(budget, BlockageState(1, 1), budget.A_d, 1e-5, p0) == 0.0
+        assert sinr(h2, g2, p0, budget.sigma_n2)[1] == 0.0
         p1 = PowerAllocation(1e-3, 1e-3, 1e-3, 0.0)
-        assert snr_lc(budget, BlockageState(0, 1), budget.A_d, 1e-5, p1) == 0.0
+        assert sinr(0.0, g2, p1, budget.sigma_n2)[1] == 0.0
 
     def test_monotonicity_probes(self, budget):
         # Gamma_h nondecreasing in HC powers, nonincreasing in LC powers;
         # Gamma_l nondecreasing in LC powers.
         rng = np.random.default_rng(11)
-        beta = BlockageState(1, 1)
-        h = 1e-6
-        for _ in range(100):
-            vals = rng.uniform(1e-4, 2.5e-3, 4)
-            p = PowerAllocation(*vals)
-            rho_d = float(rng.uniform(1e-6, budget.A_d))
-            rho_r = float(rng.uniform(1e-6, budget.A_RIS * budget.A_r))
-            base_h = sinr_hc(budget, beta, rho_d, rho_r, p)
-            base_l = snr_lc(budget, beta, rho_d, rho_r, p)
-            up_hd = PowerAllocation(p.p_h_d + h, p.p_h_r, p.p_l_d, p.p_l_r)
-            up_hr = PowerAllocation(p.p_h_d, p.p_h_r + h, p.p_l_d, p.p_l_r)
-            up_ld = PowerAllocation(p.p_h_d, p.p_h_r, p.p_l_d + h, p.p_l_r)
-            up_lr = PowerAllocation(p.p_h_d, p.p_h_r, p.p_l_d, p.p_l_r + h)
-            assert sinr_hc(budget, beta, rho_d, rho_r, up_hd) >= base_h
-            assert sinr_hc(budget, beta, rho_d, rho_r, up_hr) >= base_h
-            assert sinr_hc(budget, beta, rho_d, rho_r, up_ld) <= base_h
-            assert sinr_hc(budget, beta, rho_d, rho_r, up_lr) <= base_h
-            assert snr_lc(budget, beta, rho_d, rho_r, up_ld) >= base_l
-            assert snr_lc(budget, beta, rho_d, rho_r, up_lr) >= base_l
+        n, h = 100, 1e-6
+        vals = rng.uniform(1e-4, 2.5e-3, (4, n))
+        h2 = budget.eta_d**2 * rng.uniform(1e-6, budget.A_d, n)
+        g2 = budget.eta_r**2 * rng.uniform(1e-6, budget.A_RIS * budget.A_r, n)
+        base_h, base_l = sinr(h2, g2, PowerAllocation(*vals), budget.sigma_n2)
+        for k in range(4):
+            up = vals.copy()
+            up[k] += h
+            gam_h, gam_l = sinr(h2, g2, PowerAllocation(*up), budget.sigma_n2)
+            if k < 2:  # HC power
+                assert np.all(gam_h >= base_h)
+            else:  # LC power
+                assert np.all(gam_h <= base_h)
+                assert np.all(gam_l >= base_l)
 
 
 class TestDecode:
     def test_zero_targets(self, cfg, budget):
         p = PowerAllocation(1e-3, 1e-3, 1e-3)
-        xi = decode(
-            budget, BlockageState(1, 1), PointingError(0.0, 0.0), p,
-            RateTargets(0.0, 0.0), cfg.B,
-        )
+        xi = decode_one(cfg, budget, (1, 1), (0.0, 0.0), p, RateTargets(0.0, 0.0))
         assert xi == (1, 1)
 
     def test_full_blockage(self, cfg, budget):
         p = PowerAllocation(1e-3, 1e-3, 1e-3)
-        xi = decode(
-            budget, BlockageState(0, 0), PointingError(0.0, 0.0), p,
-            RateTargets(1e9, 0.0), cfg.B,
-        )
+        xi = decode_one(cfg, budget, (0, 0), (0.0, 0.0), p, RateTargets(1e9, 0.0))
         assert xi == (0, 0)
 
     def test_sic_dependency(self, cfg, budget):
         p = PowerAllocation(5e-3, 4e-3, 1e-3)
-        state = BlockageState(1, 1)
-        aligned = PointingError(0.0, 0.0)
         # HC achievable, LC target far above what p_l_d can deliver -> (1, 0)
-        xi = decode(budget, state, aligned, p, RateTargets(1e6, 1e15), cfg.B)
+        xi = decode_one(cfg, budget, (1, 1), (0.0, 0.0), p, RateTargets(1e6, 1e15))
         assert xi == (1, 0)
         # HC target unreachable -> (0, 0) even though LC alone would succeed
-        xi = decode(budget, state, aligned, p, RateTargets(1e15, 1e6), cfg.B)
+        xi = decode_one(cfg, budget, (1, 1), (0.0, 0.0), p, RateTargets(1e15, 1e6))
         assert xi == (0, 0)
 
     def test_sic_consistency_random(self, cfg, budget):
         rng = np.random.default_rng(23)
-        for _ in range(200):
-            p = PowerAllocation(*rng.uniform(0, 2.5e-3, 4))
-            state = BlockageState(int(rng.integers(2)), int(rng.integers(2)))
-            eps = PointingError(*rng.rayleigh(0.2, 2))
-            targets = RateTargets(*rng.uniform(0, 5e10, 2))
-            xi_h, xi_l = decode(budget, state, eps, p, targets, cfg.B)
-            assert xi_l <= xi_h
+        n = 200
+        p = PowerAllocation(*rng.uniform(0, 2.5e-3, (4, n)))
+        beta_d, beta_r = rng.integers(2, size=(2, n), dtype=np.int8)
+        eps_d, eps_r = rng.rayleigh(0.2, (2, n))
+        targets = RateTargets(*rng.uniform(0, 5e10, (2, n)))
+        xi_h, xi_l = decode_slots(cfg, budget, p, targets, beta_d, beta_r, eps_d, eps_r)
+        assert np.all(xi_l <= xi_h)
+
+    @given(
+        p=st.tuples(*[st.floats(0.0, 2.5e-3)] * 4).map(lambda v: PowerAllocation(*v)),
+        targets=st.tuples(*[st.floats(0.0, 8e10)] * 2).map(lambda v: RateTargets(*v)),
+        blocks=hnp.arrays(np.int8, (2, 20), elements=st.integers(0, 1)),
+        eps=hnp.arrays(np.float64, (2, 20), elements=st.floats(0.0, 1.0)),
+    )
+    def test_array_decode_matches_scalar_reference(self, cfg, budget, p, targets,
+                                                   blocks, eps):
+        xi_h, xi_l = decode_slots(
+            cfg, budget, p, targets, blocks[0], blocks[1], eps[0], eps[1]
+        )
+        for t in range(20):
+            (want_h, want_l), (r_h, r_l) = scalar_decode(
+                budget, blocks[:, t], eps[:, t], p, targets, cfg.B
+            )
+            # exp/log2 may round differently in the last ulp between numpy
+            # and the C library, so a rate within 1e-12 of its target may
+            # decide either way.
+            if abs(r_h - targets.R_h) > 1e-12 * max(r_h, targets.R_h):
+                assert xi_h[t] == want_h
+                if not want_h or abs(r_l - targets.R_l) > 1e-12 * max(r_l, targets.R_l):
+                    assert xi_l[t] == want_l
 
 
 class TestEpsilonThreshold:

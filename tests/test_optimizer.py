@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from risthz.channel import derive_link_budget
 from risthz.config import SystemConfig
@@ -13,6 +16,7 @@ from risthz.optimizer import (
     grid_oracle,
     grid_oracle_3d,
     hc_service_rate,
+    hc_state_terms,
     lc_service_rate,
     max_arrival_rate,
     objective_value,
@@ -44,6 +48,38 @@ def third_point(cfg):
     return PowerAllocation(cfg.P_max / 3, cfg.P_max / 3, cfg.P_max / 3)
 
 
+HC_STATES = ((0, 1), (1, 0), (1, 1))
+
+
+def explicit_state_terms(p, g):
+    """Reference for ``hc_state_terms``: each blockage state written out."""
+    return tuple(
+        (
+            beta_d * g.c_d * p.p_h_d + beta_r * g.c_r * p.p_h_r,
+            beta_d * g.c_d * p.p_l_d + beta_r * g.c_r * p.p_l_r + g.sigma_n2,
+        )
+        for beta_d, beta_r in HC_STATES
+    )
+
+
+def explicit_gaps(R_h, R_l, cfg, outage):
+    """Reference for ``stability_gaps`` at one pair of rates."""
+    tm = cfg.T / cfg.M
+    d_h = math.inf if cfg.alpha == 0.0 else (
+        (1.0 - outage.P_out_h) * tm * R_h - cfg.alpha * cfg.A_bar
+    ) / cfg.alpha
+    d_l = math.inf if cfg.alpha == 1.0 else (
+        (1.0 - outage.P_out_l) * tm * R_l - (1.0 - cfg.alpha) * cfg.A_bar
+    ) / (1.0 - cfg.alpha)
+    return d_h, d_l
+
+
+powers = st.floats(0.0, 0.01)
+power_arrays = hnp.arrays(np.float64, (4, 25), elements=powers)
+alphas = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+rates = st.floats(0.0, 1e11)
+
+
 class TestServiceRates:
     def test_threshold_gains(self, budget):
         g = threshold_gains(budget)
@@ -62,6 +98,40 @@ class TestServiceRates:
         p = third_point(cfg)
         assert rel(hc_service_rate(p, cfg, budget), RH_THIRD) < 1e-11
         assert rel(lc_service_rate(p, cfg, budget), RL_THIRD) < 1e-11
+
+
+class TestSharedHelpers:
+    @given(p=st.tuples(*[powers] * 4))
+    def test_state_terms_bit_exact_on_floats(self, budget, p):
+        p = PowerAllocation(*p)
+        g = threshold_gains(budget)
+        assert hc_state_terms(p, g) == explicit_state_terms(p, g)
+
+    @given(p=power_arrays)
+    def test_state_terms_elementwise_on_arrays(self, budget, p):
+        g = threshold_gains(budget)
+        got = hc_state_terms(PowerAllocation(*p), g)
+        for t in range(p.shape[1]):
+            want = explicit_state_terms(PowerAllocation(*p[:, t]), g)
+            for (sig, itf), (want_sig, want_itf) in zip(got, want):
+                assert sig[t] == want_sig and itf[t] == want_itf
+
+    @given(alpha=alphas, a_bar=st.floats(0.0, 1600.0), R_h=rates, R_l=rates)
+    def test_gaps_bit_exact_on_floats(self, cfg, budget, alpha, a_bar, R_h, R_l):
+        c = cfg.with_(alpha=alpha, A_bar=a_bar)
+        out = outage_probs(c, budget)
+        got = stability_gaps(RateTargets(R_h, R_l), c, out)
+        assert got == explicit_gaps(R_h, R_l, c, out)
+
+    @given(alpha=alphas, R=hnp.arrays(np.float64, (2, 25), elements=rates))
+    def test_gaps_elementwise_on_arrays(self, cfg, budget, alpha, R):
+        c = cfg.with_(alpha=alpha)
+        out = outage_probs(c, budget)
+        d_h, d_l = stability_gaps(RateTargets(R[0], R[1]), c, out)
+        for t in range(R.shape[1]):
+            want_h, want_l = explicit_gaps(float(R[0, t]), float(R[1, t]), c, out)
+            assert np.broadcast_to(d_h, R[0].shape)[t] == want_h
+            assert np.broadcast_to(d_l, R[1].shape)[t] == want_l
 
 
 class TestStabilityGaps:
@@ -98,11 +168,7 @@ class TestQuadraticTransform:
         for _ in range(100):
             p = PowerAllocation(*(rng.dirichlet(np.ones(4)) * cfg.P_max))
             mu = update_mu(p, budget)
-            gam_h_exact = min(
-                (bd * g.c_d * p.p_h_d + br * g.c_r * p.p_h_r)
-                / (bd * g.c_d * p.p_l_d + br * g.c_r * p.p_l_r + g.sigma_n2)
-                for bd, br in ((0, 1), (1, 0), (1, 1))
-            )
+            gam_h_exact = min(sig / itf for sig, itf in explicit_state_terms(p, g))
             gam_l_exact = g.c_d * p.p_l_d / g.sigma_n2
             assert rel(surrogate_gamma_h(p, mu, g), gam_h_exact) < 1e-9
             assert rel(surrogate_gamma_l(p, mu, g), gam_l_exact) < 1e-9

@@ -4,40 +4,88 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from risthz.channel import derive_link_budget
 from risthz.config import SystemConfig
-from risthz.mcsc import RateTargets
 from risthz.optimizer import sca_solve
 from risthz.queueing import (
     InsufficientDataError,
-    QueueState,
+    _lindley,
+    run_queues,
     simulate,
     stability_diagnostic,
-    step,
 )
+
+
+def loop_recursion(service, arrivals):
+    """Reference for ``_lindley``: the slot loop Q_t = max(Q_{t-1} - s_t, 0) + a_t
+    from an empty queue (Lindley 1952)."""
+    q = np.empty(len(arrivals))
+    backlog = 0.0
+    for t in range(len(arrivals)):
+        backlog = max(backlog - service[t], 0.0) + arrivals[t]
+        q[t] = backlog
+    return q
+
+
+def queues(cfg, arrivals, service_h, service_l):
+    """Run both queues over a few slots with every slot decoded."""
+    ones = np.ones(len(arrivals), dtype=np.int8)
+    return run_queues(
+        cfg, np.asarray(arrivals, float), np.asarray(service_h, float),
+        np.asarray(service_l, float), ones, ones,
+    )
 
 
 class TestStep:
     def test_direct_formula(self, cfg):
-        # service 5 packets (in rate units), arrivals 2 HC packets
-        c = cfg.with_(alpha=1.0)
-        R = RateTargets(R_h=5 * c.M / c.T, R_l=0.0)
-        out = step(QueueState(10.0, 0.0), 2.0, (1, 1), R, c)
-        assert out.Q_h == 7.0
+        # backlog 10 after slot 0; slot 1 serves 5 and admits 2 -> 7
+        trace = queues(cfg.with_(alpha=1.0), [10.0, 2.0], [0.0, 5.0], [0.0, 0.0])
+        assert trace.q_h[1] == 7.0
 
     def test_positive_part_clamp(self, cfg):
-        c = cfg.with_(alpha=1.0)
-        R = RateTargets(R_h=5 * c.M / c.T, R_l=0.0)
-        out = step(QueueState(3.0, 0.0), 0.0, (1, 1), R, c)
-        assert out.Q_h == 0.0
+        # service 5 exceeds the backlog 3: the queue empties, never negative
+        trace = queues(cfg.with_(alpha=1.0), [3.0, 0.0], [0.0, 5.0], [0.0, 0.0])
+        assert trace.q_h[1] == 0.0
 
     def test_no_service_grows_by_arrivals(self, cfg):
-        c = cfg.with_(alpha=0.25)
-        R = RateTargets(R_h=1e12, R_l=1e12)
-        out = step(QueueState(4.0, 6.0), 8.0, (0, 0), R, c)
-        assert out.Q_h == 4.0 + 0.25 * 8.0
-        assert out.Q_l == 6.0 + 0.75 * 8.0
+        trace = queues(cfg.with_(alpha=0.25), [16.0, 8.0], [0.0, 0.0], [0.0, 0.0])
+        assert list(trace.q_h) == [4.0, 4.0 + 0.25 * 8.0]
+        assert list(trace.q_l) == [12.0, 12.0 + 0.75 * 8.0]
+
+
+class TestLindley:
+    amounts = hnp.arrays(
+        np.float64, st.integers(1, 300), elements=st.floats(0.0, 2000.0)
+    )
+
+    @given(data=st.data())
+    def test_matches_loop(self, data):
+        arrivals = data.draw(self.amounts)
+        service = data.draw(hnp.arrays(
+            np.float64, len(arrivals), elements=st.floats(0.0, 2000.0)
+        ))
+        got = _lindley(service, arrivals)
+        # cumsum rounds its partial sums in another order than the loop, so
+        # the two agree to a few ulps of the running total.
+        tol = 8 * len(arrivals) * np.finfo(float).eps * (
+            1.0 + np.sum(arrivals) + np.sum(service)
+        )
+        assert np.all(np.abs(got - loop_recursion(service, arrivals)) <= tol)
+        assert np.all(got >= 0.0)
+
+    @given(amounts=amounts)
+    def test_zero_service_accumulates(self, amounts):
+        # without service both forms add the same arrivals in the same order
+        zero = np.zeros_like(amounts)
+        assert np.array_equal(_lindley(zero, amounts), loop_recursion(zero, amounts))
+
+    @given(amounts=amounts)
+    def test_zero_arrivals_stay_empty(self, amounts):
+        assert np.all(_lindley(amounts, np.zeros_like(amounts)) == 0.0)
 
 
 class TestSimulate:
