@@ -151,8 +151,18 @@ def parse_config_text(text: str, base: SystemConfig | None = None) -> SystemConf
 
 
 def load_config(path: str, base: SystemConfig | None = None) -> SystemConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), base=base)
+    """Parse the config file at ``path``; a file that cannot be opened or
+    is not UTF-8 raises :class:`ConfigError` naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"{path} is not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from None
+    return parse_config_text(text, base=base)
 
 
 def default_config_text() -> str:

@@ -437,8 +437,8 @@ def _strict_hc_point(
         rec.update(asdict(operating_point(cfg_ad, alpha)))
         rec["lam"] = math.nan
         records.append(rec)
-    # align columns across strategies
-    keys = set().union(*(r.keys() for r in records))
+    # align columns across strategies, in first-seen order
+    keys = list(dict.fromkeys(k for r in records for k in r))
     for r in records:
         for k in keys:
             r.setdefault(k, math.nan)

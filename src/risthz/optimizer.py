@@ -75,8 +75,9 @@ def hc_state_terms(p: PowerAllocation, g: ThresholdGains):
     """(signal, interference + noise) of the HC stream at threshold fading
     in the blockage states (0,1), (1,0) and (1,1), in that order.
 
-    Plain arithmetic, so the powers may be floats (the SCA inner loop) or
-    equal-shape arrays (the grid oracles) with the same rounding.
+    Plain arithmetic, so the powers may be floats (the SCA multiplier
+    updates and rate bounds) or equal-shape arrays (the grid oracles) with
+    the same rounding.
     """
     sig_d, sig_r = g.c_d * p.p_h_d, g.c_r * p.p_h_r
     itf_d, itf_r = g.c_d * p.p_l_d, g.c_r * p.p_l_r
@@ -162,6 +163,18 @@ def surrogate_gamma_l(p: PowerAllocation, mu: QuadTransformState, g: ThresholdGa
     )
 
 
+def _argmax(vals) -> int:
+    """Index of the first maximum, or of the first NaN (``np.argmax``'s
+    rule, without building an array)."""
+    i, best = 0, vals[0]
+    for j, v in enumerate(vals):
+        if v != v:
+            return j
+        if v > best:
+            i, best = j, v
+    return i
+
+
 def _golden_max(fn, lo: float, hi: float, tol: float):
     """Golden-section maximization of a unimodal function on [lo, hi].
 
@@ -172,7 +185,7 @@ def _golden_max(fn, lo: float, hi: float, tol: float):
         x = 0.5 * (lo + hi)
         cands = [lo, x, hi] if hi > lo else [lo]
         vals = [fn(c) for c in cands]
-        i = int(np.argmax(vals))
+        i = _argmax(vals)
         return cands[i], vals[i]
     a, b = lo, hi
     x1 = b - _INVPHI * (b - a)
@@ -188,9 +201,70 @@ def _golden_max(fn, lo: float, hi: float, tol: float):
             x2 = a + _INVPHI * (b - a)
             f2 = fn(x2)
     cands = [lo, x1, x2, hi]
-    vals = [fn(c) for c in cands]
-    i = int(np.argmax(vals))
+    vals = [fn(lo), f1, f2, fn(hi)]
+    i = _argmax(vals)
     return cands[i], vals[i]
+
+
+def surrogate_objective(
+    mu: QuadTransformState, cfg: SystemConfig, g: ThresholdGains, outage: OutageProbs
+):
+    """Surrogate max-min objective at fixed mu, staged for the nested search.
+
+    ``surrogate_objective(mu, cfg, g, outage)(x)(y)`` equals, bit for bit,
+    ``min(stability_gaps(...))`` at the rates ``B log2(1 + gamma)`` of
+    ``surrogate_gamma_h``/``surrogate_gamma_l`` at p = (y, P_max - x - y, x, 0):
+    the float operations are the same and run in the same order.  Terms
+    free of y are computed once per x (the whole LC gap and the
+    interference c_d x + sigma^2 of HC states (1,0) and (1,1)), and terms
+    free of both once per call, so each y costs three square roots and
+    one log.  ``min(a, b)`` is written ``b if b < a else a`` and
+    ``max(0, v)`` as ``v if 0 < v else 0``, the builtins' tie and NaN rules.
+    """
+    sqrt, log2, inf = math.sqrt, math.log2, math.inf
+    B, P, alpha, s2 = cfg.B, cfg.P_max, cfg.alpha, g.sigma_n2
+    c_d, c_r = g.c_d, g.c_r
+    tm = cfg.T / cfg.M
+    k_h = (1.0 - outage.P_out_h) * tm
+    k_l = (1.0 - outage.P_out_l) * tm
+    a_h = alpha * cfg.A_bar
+    a_l = (1.0 - alpha) * cfg.A_bar
+    two_01, two_10, two_11 = 2.0 * mu.mu_h_01, 2.0 * mu.mu_h_10, 2.0 * mu.mu_h_11
+    q_01 = mu.mu_h_01 * mu.mu_h_01 * s2
+    sq_10, sq_11 = mu.mu_h_10 * mu.mu_h_10, mu.mu_h_11 * mu.mu_h_11
+    two_l, q_l = 2.0 * mu.mu_l, mu.mu_l**2 * s2
+
+    def at(x: float):
+        rem = P - x
+        itf = c_d * x + s2
+        q_10, q_11 = sq_10 * itf, sq_11 * itf
+        gam_l = two_l * sqrt(c_d * x) - q_l
+        gam_l = gam_l if 0.0 < gam_l else 0.0
+        if alpha == 1.0:
+            d_l = inf
+        else:
+            d_l = (k_l * (B * log2(1.0 + gam_l)) - a_l) / (1.0 - alpha)
+        if alpha == 0.0:
+            const = d_l if d_l < inf else inf  # min(inf, d_l)
+            return lambda y: const
+
+        def fy(y: float) -> float:
+            sig_d, sig_r = c_d * y, c_r * (rem - y)
+            v = two_01 * sqrt(sig_r) - q_01
+            gam_h = v if v < inf else inf  # min(inf, v)
+            v = two_10 * sqrt(sig_d) - q_10
+            if v < gam_h:
+                gam_h = v
+            v = two_11 * sqrt(sig_d + sig_r) - q_11
+            if v < gam_h:
+                gam_h = v
+            gam_h = gam_h if 0.0 < gam_h else 0.0
+            d_h = (k_h * (B * log2(1.0 + gam_h)) - a_h) / alpha
+            return d_l if d_l < d_h else d_h
+
+        return fy
+
+    return at
 
 
 def solve_subproblem(
@@ -211,22 +285,11 @@ def solve_subproblem(
     g = threshold_gains(budget)
     P = cfg.P_max
     tol = tol if tol is not None else 1e-8 * max(P, 1e-30)
-    tm = cfg.T / cfg.M
-
-    def surrogate_obj(p: PowerAllocation) -> float:
-        R_h = cfg.B * math.log2(1.0 + surrogate_gamma_h(p, mu, g))
-        R_l = cfg.B * math.log2(1.0 + surrogate_gamma_l(p, mu, g))
-        d_h, d_l = stability_gaps(RateTargets(R_h, R_l), cfg, outage)
-        return min(d_h, d_l)
+    at = surrogate_objective(mu, cfg, g, outage)
 
     def inner(x: float):
         # x = p_l_d; split the remainder between p_h_d and p_h_r.
-        rem = P - x
-
-        def fy(y: float) -> float:
-            return surrogate_obj(PowerAllocation(y, rem - y, x))
-
-        return _golden_max(fy, 0.0, rem, tol)
+        return _golden_max(at(x), 0.0, P - x, tol)
 
     def outer_obj(x: float) -> float:
         return inner(x)[1]

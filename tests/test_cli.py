@@ -2,6 +2,7 @@
 handling, manifests, and byte-identical reruns."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -18,12 +19,13 @@ from risthz.cli import (
 from risthz.config import ConfigError
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "risthz.cli", *args],
         capture_output=True,
         text=True,
         timeout=300,
+        env=env,
     )
 
 
@@ -94,6 +96,33 @@ class TestSubcommands:
         assert main(["solve", "--config", str(bad)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err == "config error: line 1: N_R must be an integer, got '4e4'\n"
+
+    def test_missing_config_file_exit_code(self, tmp_path):
+        missing = tmp_path / "nonexistent.cfg"
+        proc = run_cli("solve", "--config", str(missing))
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.count("\n") == 1
+        assert str(missing) in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_non_utf8_config_file_exit_code(self, tmp_path):
+        bad = tmp_path / "latin1.cfg"
+        bad.write_bytes("# caf\u00e9\nalpha = 0.5\n".encode("latin-1"))
+        proc = run_cli("solve", "--config", str(bad))
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.count("\n") == 1
+        assert str(bad) in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_strict_hc_columns_independent_of_hash_seed(self, tmp_path):
+        outs = []
+        for seed in ("1", "3"):
+            out = tmp_path / f"shc{seed}.csv"
+            proc = run_cli(
+                "strict-hc", "--sigma-grid", "0.04:1:0.04", "--jobs", "1",
+                "--out", str(out), env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            assert proc.returncode == EXIT_OK
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_infeasible_beam_target_exit_code(self):
         proc = run_cli(

@@ -1,7 +1,9 @@
 """Power-allocation solver tests: rate bounds, stability gaps,
 quadratic-transform updates, SCA convergence, and the grid oracle."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from risthz.channel import derive_link_budget
 from risthz.config import SystemConfig
 from risthz.mcsc import PowerAllocation, RateTargets, outage_probs
 from risthz.optimizer import (
+    _argmax,
+    _golden_max,
     grid_oracle,
     grid_oracle_3d,
     hc_service_rate,
@@ -26,6 +30,7 @@ from risthz.optimizer import (
     stability_gaps,
     surrogate_gamma_h,
     surrogate_gamma_l,
+    surrogate_objective,
     threshold_gains,
     update_mu,
 )
@@ -190,6 +195,114 @@ class TestSubproblem:
         ) - 1e-9 * cfg.A_bar
 
 
+def reference_surrogate(mu, cfg, g, outage, x, y):
+    """The surrogate objective at p = (y, P_max - x - y, x) from the
+    readable per-point functions."""
+    p = PowerAllocation(y, (cfg.P_max - x) - y, x)
+    R = RateTargets(
+        cfg.B * math.log2(1.0 + surrogate_gamma_h(p, mu, g)),
+        cfg.B * math.log2(1.0 + surrogate_gamma_l(p, mu, g)),
+    )
+    return min(stability_gaps(R, cfg, outage))
+
+
+class TestSurrogateObjective:
+    @given(seed=st.integers(0, 2**32 - 1), alpha=st.sampled_from([None, 0.0, 1.0]))
+    def test_equals_reference_bit_for_bit(self, seed, alpha):
+        # Each example checks the simplex corners and 16 random points: a
+        # reordered float operation changes the result at only a few
+        # percent of points.
+        rng = np.random.default_rng(seed)
+        c = random_config(rng)
+        if alpha is not None:
+            c = c.with_(alpha=alpha)
+        b = derive_link_budget(c)
+        g = threshold_gains(b)
+        out = outage_probs(c, b)
+        mu = update_mu(PowerAllocation(*(rng.dirichlet(np.ones(4)) * c.P_max)), b)
+        at = surrogate_objective(mu, c, g, out)
+        corners = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
+        for u, v in corners + rng.random((16, 2)).tolist():
+            x = u * c.P_max
+            y = v * (c.P_max - x)
+            assert at(x)(y).hex() == reference_surrogate(mu, c, g, out, x, y).hex()
+
+
+def golden_max_reference(fn, lo, hi, tol):
+    """``_golden_max`` as it was before it reused its last two
+    evaluations for the final candidates."""
+    inv = (math.sqrt(5.0) - 1.0) / 2.0
+    if hi - lo <= tol:
+        x = 0.5 * (lo + hi)
+        cands = [lo, x, hi] if hi > lo else [lo]
+        vals = [fn(c) for c in cands]
+        i = int(np.argmax(vals))
+        return cands[i], vals[i]
+    a, b = lo, hi
+    x1 = b - inv * (b - a)
+    x2 = a + inv * (b - a)
+    f1, f2 = fn(x1), fn(x2)
+    while b - a > tol:
+        if f1 >= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - inv * (b - a)
+            f1 = fn(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + inv * (b - a)
+            f2 = fn(x2)
+    cands = [lo, x1, x2, hi]
+    vals = [fn(c) for c in cands]
+    i = int(np.argmax(vals))
+    return cands[i], vals[i]
+
+
+def counted(fn):
+    calls = []
+
+    def wrapped(x):
+        calls.append(x)
+        return fn(x)
+
+    return wrapped, calls
+
+
+UNIMODAL = {
+    "interior": (lambda x: -(x - 0.37) ** 2, 0.0, 1.0),
+    "max_at_lo": (lambda x: -x, 0.0, 1.0),
+    "max_at_hi": (lambda x: math.log1p(x), 0.0, 2.0),
+    "kink": (lambda x: min(3.0 * x, 1.0 - x), 0.0, 1.0),
+    "flat": (lambda x: 5.0, -1.0, 1.0),
+    "plateau": (lambda x: min(x, 0.5), 0.0, 1.0),
+    "power_scale": (lambda x: -abs(x - 0.004), 0.0, 0.01),
+}
+
+
+class TestGoldenMax:
+    @pytest.mark.parametrize("name", sorted(UNIMODAL))
+    def test_same_result_two_fewer_calls(self, name):
+        fn, lo, hi = UNIMODAL[name]
+        tol = 1e-8 * (hi - lo)
+        new_fn, new_calls = counted(fn)
+        old_fn, old_calls = counted(fn)
+        got = _golden_max(new_fn, lo, hi, tol)
+        want = golden_max_reference(old_fn, lo, hi, tol)
+        assert got == want
+        assert len(new_calls) == len(old_calls) - 2
+
+    def test_argmax_follows_numpy(self):
+        for vals in (
+            [1.0, 3.0, 3.0, 2.0],
+            [-math.inf, -math.inf],
+            [0.0, -0.0],
+            [-0.0, 0.0],
+            [1.0, math.nan, 5.0, math.nan],
+            [math.nan, 1.0],
+            [2.0],
+        ):
+            assert _argmax(vals) == int(np.argmax(vals))
+
+
 class TestScaSolve:
     def test_converges_quickly_at_zero_arrivals(self, cfg, budget):
         res = sca_solve(cfg.with_(A_bar=0.0), budget)
@@ -225,6 +338,28 @@ class TestScaSolve:
             assert abs(sca.objective - ref.objective) <= 1e-3 * (
                 1.0 + abs(ref.objective)
             )
+
+
+PINNED = json.loads((Path(__file__).parent / "data" / "sca_pinned.json").read_text())
+
+
+class TestPinnedSca:
+    """``sca_solve`` iterates recorded as ``float.hex`` before the inner
+    objective was staged per probe: a change that moves any iterate, even
+    by one ulp, shows here as an exact mismatch."""
+
+    @pytest.mark.parametrize("case", PINNED, ids=lambda c: ",".join(
+        f"{k}={float.fromhex(v):.4g}" for k, v in c["config"].items()
+    ))
+    def test_iterates_exact(self, case):
+        c = SystemConfig().with_(
+            **{k: float.fromhex(v) for k, v in case["config"].items()}
+        )
+        res = sca_solve(c, derive_link_budget(c))
+        p = (res.p.p_h_d, res.p.p_h_r, res.p.p_l_d, res.p.p_l_r)
+        assert [v.hex() for v in p] == case["p"]
+        assert [v.hex() for v in res.objective_trace] == case["objective_trace"]
+        assert res.iterations == case["iterations"]
 
 
 class TestGridOracle:
