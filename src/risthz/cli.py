@@ -35,12 +35,22 @@ from .experiments import (
     strict_hc_sweep,
     sweep_metadata,
 )
-from .optimizer import grid_oracle, random_config, sca_solve
+from .optimizer import MIN_ORACLE_GRID, grid_oracle, random_config, sca_solve
+from .queueing import MIN_DIAGNOSTIC_SLOTS
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_INFEASIBLE = 3
+
+
+def _usable_cores() -> int:
+    """CPUs this process may run on (``os.cpu_count()`` counts the host's,
+    which oversubscribes under a cpuset)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def parse_grid(spec: str) -> list[float]:
@@ -185,7 +195,14 @@ def cmd_strict_hc(args) -> int:
     return EXIT_OK
 
 
+def _require_at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise ConfigError(f"{flag} must be >= {least}, got {value}")
+
+
 def cmd_queue_sim(args) -> int:
+    _require_at_least("--slots", args.slots, MIN_DIAGNOSTIC_SLOTS)
+    _require_at_least("--reps", args.reps, 1)
     cfg = _load_cfg(args)
     grid = parse_grid(args.alpha_grid)
     schemes = ["mcsc", "time_sharing"] if args.scheme == "both" else [args.scheme]
@@ -208,6 +225,7 @@ def cmd_queue_sim(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    _require_at_least("--grid", args.grid, MIN_ORACLE_GRID)
     cfg = _load_cfg(args)
     rng = np.random.default_rng(args.seed)
     failures = 0
@@ -245,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", help="output CSV path (manifest written alongside)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--jobs", type=int, default=_usable_cores())
         p.add_argument("--trace", action="store_true",
                        help="emit per-iteration solver diagnostics on stderr")
         for name, default, hlp in grids:

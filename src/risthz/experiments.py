@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -29,8 +30,8 @@ from .config import SystemConfig
 from .mcsc import outage_probs
 from .optimizer import (
     _golden_max,
-    max_arrival_rate,
     sca_solve,
+    structural_solve,
     threshold_gains,
 )
 from .queueing import (
@@ -172,8 +173,8 @@ def argmax_unimodal(fn, lo: float, hi: float, tol: float, n_prescan: int = 21,
 
     A coarse pre-scan locates the bracket (and checks unimodality up to
     numerical noise); golden-section search then refines.  If the
-    pre-scan is non-unimodal, falls back to a fine grid.  Ties resolve
-    to the leftmost maximizer.
+    pre-scan is non-unimodal, warns (``RuntimeWarning``) and falls back
+    to a fine grid.  Ties resolve to the leftmost maximizer.
     """
     xs = np.linspace(lo, hi, n_prescan)
     vals = [fn(float(x)) for x in xs]
@@ -182,6 +183,12 @@ def argmax_unimodal(fn, lo: float, hi: float, tol: float, n_prescan: int = 21,
     rising = all(vals[i + 1] >= vals[i] - slack for i in range(k))
     falling = all(vals[i + 1] <= vals[i] + slack for i in range(k, len(xs) - 1))
     if not (rising and falling):
+        warnings.warn(
+            f"argmax_unimodal: pre-scan of [{lo!r}, {hi!r}] is not unimodal; "
+            f"falling back to a {n_fallback}-point grid",
+            RuntimeWarning,
+            stacklevel=2,
+        )
         xs = np.linspace(lo, hi, n_fallback)
         vals = [fn(float(x)) for x in xs]
         return float(xs[int(np.argmax(vals))])
@@ -192,12 +199,15 @@ def argmax_unimodal(fn, lo: float, hi: float, tol: float, n_prescan: int = 21,
 
 
 def _a_max_fn(cfg: SystemConfig):
+    """Largest stabilizable arrival rate as a function of the HC fraction,
+    from the exact structural solver (A_bar does not move the powers)."""
     budget = derive_link_budget(cfg)
     cache: dict[float, float] = {}
 
     def fn(alpha: float) -> float:
         if alpha not in cache:
-            cache[alpha] = max_arrival_rate(cfg, budget, alpha)
+            cfg_a = cfg.with_(alpha=alpha, A_bar=0.0)
+            cache[alpha] = structural_solve(cfg_a, budget).objective
         return cache[alpha]
 
     return fn

@@ -16,6 +16,9 @@ inner solve uses nested golden-section search: for fixed multipliers the
 rate bounds are concave in the powers, hence the objective is concave
 and unimodal along every line.  An exhaustive grid search over the same
 simplex serves as the ground-truth oracle in the tests.
+
+``structural_solve`` reaches the same optimum exactly by a 1-D bisection
+on the LC power (see its docstring); the HC-fraction searches use it.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .config import SystemConfig
 from .mcsc import OutageProbs, PowerAllocation, RateTargets, outage_probs
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+MIN_ORACLE_GRID = 100  # coarsest grid_oracle scan
 
 
 @dataclass(frozen=True)
@@ -367,6 +371,73 @@ def sca_solve(
     )
 
 
+def structural_solve(cfg: SystemConfig, budget: LinkBudget) -> SolveResult:
+    """Exact max-min power allocation from the problem's structure.
+
+    With p_l_r = 0 and the power budget binding, two facts reduce the
+    problem to the LC power x = p_l_d:
+
+    1. HC state (1,1) never binds: it has the signal of state (1,0) plus
+       the RIS signal over the same interference + noise
+       I = c_d x + sigma^2.  The best split of the HC power P - x
+       therefore equalizes states (1,0) and (0,1),
+       ``p_h_d = c_r (P - x) I / (c_d sigma^2 + c_r I)``, which gives
+       ``gamma_h(x) = c_d c_r (P - x) / (c_d sigma^2 + c_r I)``.
+    2. gamma_h, hence delta_h, falls in x while delta_l rises, so the
+       optimum is the root of delta_h = delta_l, found by bisection down
+       to adjacent floats, or a boundary: x = P at alpha = 0 and x = 0 at
+       alpha = 1, where the other gap is vacuous.
+
+    A_bar shifts both gaps alike and does not move the powers.  The
+    objective is min(stability_gaps) at the returned powers, as in
+    ``sca_solve``; ``iterations`` counts bisection steps.
+    """
+    outage = outage_probs(cfg, budget)
+    g = threshold_gains(budget)
+    c_d, c_r, s2 = g.c_d, g.c_r, g.sigma_n2
+    B, P, log2 = cfg.B, cfg.P_max, math.log2
+
+    def split(x: float) -> PowerAllocation:
+        # both HC powers from the closed form: P - x - p_h_d would lose
+        # digits to cancellation when p_h_r is a small share of P - x
+        rem, itf = P - x, c_d * x + s2
+        den = c_d * s2 + c_r * itf
+        return PowerAllocation(c_r * rem * itf / den, c_d * s2 * rem / den, x)
+
+    def gap_diff(x: float) -> float:
+        gam_h = c_d * c_r * (P - x) / (c_d * s2 + c_r * (c_d * x + s2))
+        R = RateTargets(B * log2(1.0 + gam_h), B * log2(1.0 + c_d * x / s2))
+        d_h, d_l = stability_gaps(R, cfg, outage)
+        return d_h - d_l
+
+    it = 0
+    if cfg.alpha == 0.0:
+        p = split(P)
+    elif cfg.alpha == 1.0:
+        p = split(0.0)
+    else:
+        lo, hi = 0.0, P  # gap_diff(0) >= 0 >= gap_diff(P)
+        while True:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            it += 1
+            if gap_diff(mid) >= 0.0:
+                lo = mid
+            else:
+                hi = mid
+        p = max(split(lo), split(hi),
+                key=lambda c: objective_value(c, cfg, budget, outage))
+
+    R = RateTargets(
+        R_h=hc_service_rate(p, cfg, budget), R_l=lc_service_rate(p, cfg, budget)
+    )
+    d = stability_gaps(R, cfg, outage)
+    return SolveResult(
+        p=p, R=R, delta=d, objective=min(d), iterations=it, converged=True
+    )
+
+
 def _grid_objective(
     p: PowerAllocation, cfg: SystemConfig, g: ThresholdGains, outage: OutageProbs
 ) -> np.ndarray:
@@ -393,8 +464,8 @@ def grid_oracle(
     the whole near-optimal ridge instead.  Ties resolve to the first
     index at every level.
     """
-    if n_grid < 100:
-        raise ValueError("n_grid must be >= 100")
+    if n_grid < MIN_ORACLE_GRID:
+        raise ValueError(f"n_grid must be >= {MIN_ORACLE_GRID}")
     g = threshold_gains(budget)
     outage = outage_probs(cfg, budget)
     P = cfg.P_max

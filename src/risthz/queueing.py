@@ -33,6 +33,7 @@ from .optimizer import SolveResult
 
 DEFAULT_WARMUP_FRAC = 0.1
 SLOPE_TOL_FACTOR = 1e-3  # unstable if fitted slope > 1e-3 * A_bar packets/slot^2
+MIN_DIAGNOSTIC_SLOTS = 100  # shortest trace given a stability verdict
 
 
 class InsufficientDataError(ValueError):
@@ -217,8 +218,8 @@ def stability_diagnostic(trace: QueueTrace) -> dict[str, bool]:
     ``{"hc": stable?, "lc": stable?}``.
     """
     n = len(trace.q_h)
-    if n < 100:
-        raise InsufficientDataError(f"need >= 100 slots, got {n}")
+    if n < MIN_DIAGNOSTIC_SLOTS:
+        raise InsufficientDataError(f"need >= {MIN_DIAGNOSTIC_SLOTS} slots, got {n}")
     half = n // 2
     tol = SLOPE_TOL_FACTOR * trace.a_bar
     verdict = {}

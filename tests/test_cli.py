@@ -12,6 +12,7 @@ from risthz.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
     EXIT_OK,
+    build_parser,
     main,
     parse_grid,
     run_from_manifest,
@@ -136,6 +137,25 @@ class TestSubcommands:
         proc = run_cli("oracle-check", "--n", "3", "--seed", "7", "--grid", "500")
         assert proc.returncode == EXIT_OK
         assert "3/3 passed" in proc.stdout
+
+
+class TestArgumentBounds:
+    @pytest.mark.parametrize("argv, message", [
+        ("queue-sim --alpha-grid 0.5:1:0.5 --reps 0", "--reps must be >= 1, got 0"),
+        ("queue-sim --alpha-grid 0.5:1:0.5 --slots 50", "--slots must be >= 100, got 50"),
+        ("queue-sim --alpha-grid 0.5:1:0.5 --slots 0", "--slots must be >= 100, got 0"),
+        ("oracle-check --n 1 --grid 50", "--grid must be >= 100, got 50"),
+    ], ids=["reps-0", "slots-50", "slots-0", "grid-50"])
+    def test_out_of_range_is_config_error(self, capsys, argv, message):
+        assert main(argv.split()) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_jobs_default_counts_usable_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert build_parser().parse_args(["feasibility"]).jobs == 1
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert build_parser().parse_args(["feasibility"]).jobs == 64
 
 
 class TestManifests:

@@ -8,12 +8,15 @@ import pytest
 from risthz.channel import derive_link_budget
 from risthz.config import SystemConfig
 from risthz.mcsc import outage_probs
-from risthz.optimizer import max_arrival_rate, sca_solve
+from risthz.optimizer import max_arrival_rate, random_config, sca_solve
 from risthz import experiments
 from risthz.experiments import (
+    DEFAULT_ALPHA_TOL,
     BeamAdaptationError,
     W_R_MIN,
     adapt_beamwidth,
+    alpha_sum_star,
+    alpha_tradeoff_star,
     argmax_unimodal,
     blockage_sweep,
     config_hash,
@@ -70,8 +73,40 @@ class TestArgmaxUnimodal:
                 -200 * (x - 0.8) ** 2
             )
 
-        got = argmax_unimodal(fn, 0.0, 1.0, 1e-4)
+        with pytest.warns(RuntimeWarning, match=r"\[0\.0, 1\.0\] is not unimodal"):
+            got = argmax_unimodal(fn, 0.0, 1.0, 1e-4)
         assert got == pytest.approx(0.8, abs=0.01)
+
+
+def sca_a_max_fn(cfg):
+    """The HC-fraction searches' objective driven by SCA, through
+    ``max_arrival_rate``: the reference for the structural solver."""
+    budget = derive_link_budget(cfg)
+    cache = {}
+
+    def fn(alpha):
+        if alpha not in cache:
+            cache[alpha] = max_arrival_rate(cfg, budget, alpha)
+        return cache[alpha]
+
+    return fn
+
+
+_rng = np.random.default_rng(5)
+SEARCH_CONFIGS = [SystemConfig()] + [random_config(_rng) for _ in range(4)]
+
+
+class TestAlphaSearches:
+    @pytest.mark.parametrize("i", range(len(SEARCH_CONFIGS)))
+    def test_match_sca_driven_search(self, monkeypatch, i):
+        c = SEARCH_CONFIGS[i]
+        a_sum = alpha_sum_star(c)
+        a_t = alpha_tradeoff_star(c, alpha_sum=a_sum)
+        monkeypatch.setattr(experiments, "_a_max_fn", sca_a_max_fn)
+        ref_sum = alpha_sum_star(c)
+        ref_t = alpha_tradeoff_star(c, alpha_sum=ref_sum)
+        assert abs(a_sum - ref_sum) <= DEFAULT_ALPHA_TOL
+        assert abs(a_t - ref_t) <= DEFAULT_ALPHA_TOL
 
 
 class TestSweeps:

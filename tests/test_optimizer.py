@@ -1,5 +1,6 @@
 """Power-allocation solver tests: rate bounds, stability gaps,
-quadratic-transform updates, SCA convergence, and the grid oracle."""
+quadratic-transform updates, SCA convergence, the structural solver and
+the grid oracle."""
 
 import json
 import math
@@ -28,6 +29,7 @@ from risthz.optimizer import (
     sca_solve,
     solve_subproblem,
     stability_gaps,
+    structural_solve,
     surrogate_gamma_h,
     surrogate_gamma_l,
     surrogate_objective,
@@ -360,6 +362,34 @@ class TestPinnedSca:
         assert [v.hex() for v in p] == case["p"]
         assert [v.hex() for v in res.objective_trace] == case["objective_trace"]
         assert res.iterations == case["iterations"]
+
+
+class TestStructuralSolve:
+    @given(seed=st.integers(0, 2**32 - 1), alpha=st.sampled_from([None, 0.0, 1.0]))
+    def test_exact_optimum_against_sca(self, seed, alpha):
+        c = random_config(np.random.default_rng(seed))
+        if alpha is not None:
+            c = c.with_(alpha=alpha)
+        b = derive_link_budget(c)
+        res = structural_solve(c, b)
+        ref = sca_solve(c, b).objective
+        # SCA stops at a feasible point, so the exact optimum is never below it
+        assert res.objective >= ref - 1e-12 * (1.0 + abs(ref))
+        assert abs(res.objective - ref) <= 1e-5 * (1.0 + abs(ref))
+
+        p = res.p
+        assert p.p_l_r == 0.0
+        assert math.isclose(p.total(), c.P_max, rel_tol=1e-14)
+        out = outage_probs(c, b)
+        R = RateTargets(hc_service_rate(p, c, b), lc_service_rate(p, c, b))
+        assert res.objective == min(stability_gaps(R, c, out))
+        if c.alpha == 0.0:
+            assert p.p_l_d == c.P_max
+        elif c.alpha == 1.0:
+            assert p.p_l_d == 0.0
+        else:
+            (s01, i01), (s10, i10), _ = explicit_state_terms(p, threshold_gains(b))
+            assert rel(s01 / i01, s10 / i10) <= 1e-12
 
 
 class TestGridOracle:
