@@ -23,7 +23,6 @@ from .mcsc import (
 from .optimizer import (
     QuadTransformState,
     SolveResult,
-    grid_oracle,
     hc_service_rate,
     lc_service_rate,
     max_arrival_rate,
@@ -47,7 +46,6 @@ __all__ = [
     "derive_link_budget",
     "epsilon_threshold",
     "fading_coefficient",
-    "grid_oracle",
     "hc_service_rate",
     "lc_service_rate",
     "load_config",

@@ -5,8 +5,8 @@ strict-hc, queue-sim, oracle-check, config.  Every experiment writes a
 CSV (RFC-4180, shortest round-trip float formatting) plus a JSON run
 manifest; re-running from a manifest reproduces the CSV byte-for-byte.
 
-Exit codes: 0 success, 1 config error, 2 numerical non-convergence,
-3 infeasibility.
+Exit codes: 0 success, 1 config or usage error, 2 numerical
+non-convergence, 3 infeasibility.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .experiments import (
     strict_hc_sweep,
     sweep_metadata,
 )
-from .optimizer import MIN_ORACLE_GRID, grid_oracle, random_config, sca_solve
+from .optimizer import random_config, sca_solve, structural_solve
 from .queueing import MIN_DIAGNOSTIC_SLOTS
 
 EXIT_OK = 0
@@ -225,7 +225,6 @@ def cmd_queue_sim(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    _require_at_least("--grid", args.grid, MIN_ORACLE_GRID)
     cfg = _load_cfg(args)
     rng = np.random.default_rng(args.seed)
     failures = 0
@@ -233,7 +232,7 @@ def cmd_oracle_check(args) -> int:
         c = random_config(rng, base=cfg)
         budget = derive_link_budget(c)
         sca = sca_solve(c, budget)
-        ref = grid_oracle(c, budget, n_grid=args.grid)
+        ref = structural_solve(c, budget)
         tol = 1e-3 * (1.0 + abs(ref.objective))
         ok = abs(sca.objective - ref.objective) <= tol
         monotone = all(
@@ -242,7 +241,7 @@ def cmd_oracle_check(args) -> int:
         )
         status = "ok" if ok and monotone else "FAIL"
         print(
-            f"[{i:3d}] {status} sca={sca.objective:.6g} grid={ref.objective:.6g} "
+            f"[{i:3d}] {status} sca={sca.objective:.6g} exact={ref.objective:.6g} "
             f"monotone={monotone}"
         )
         if not (ok and monotone):
@@ -251,8 +250,17 @@ def cmd_oracle_check(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_NO_CONVERGENCE
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with ``EXIT_CONFIG``; argparse's own 2 would read
+    as numerical non-convergence.  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="risthz",
         description="RIS-assisted THz mixed-criticality link simulator/optimizer",
     )
@@ -292,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_misalignment_sweep)
 
     p = sub.add_parser("strict-hc", help="beamwidth-adapted strict-HC comparison")
-    common(p, [("--sigma-grid", "0.04:0.05:0.24", "sigma_m grid start:step:end")])
+    common(p, [("--sigma-grid", "0.04:0.05:0.14", "sigma_m grid start:step:end")])
     p.add_argument("--alpha-min", type=float, default=0.3)
     p.add_argument("--target", type=float, default=0.05)
     p.set_defaults(func=cmd_strict_hc)
@@ -305,10 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=1)
     p.set_defaults(func=cmd_queue_sim)
 
-    p = sub.add_parser("oracle-check", help="verify SCA against the grid oracle")
+    p = sub.add_parser("oracle-check", help="verify SCA against the exact solver")
     common(p)
     p.add_argument("--n", type=int, default=50)
-    p.add_argument("--grid", type=int, default=500)
     p.set_defaults(func=cmd_oracle_check)
 
     return parser

@@ -372,12 +372,12 @@ def time_sharing_point(cfg: SystemConfig, alpha: float) -> TimeSharingPoint:
     out = outage_probs(cfg, budget)
     P = cfg.P_max
 
-    def worst_hc(y: float) -> float:
-        # states (1,0) and (0,1); (1,1) is their sum and never binds
-        return min(g.c_d * y, g.c_r * (P - y)) / g.sigma_n2
-
-    y, _ = _golden_max(worst_hc, 0.0, P, 1e-10 * P)
-    R_h = cfg.B * math.log2(1.0 + worst_hc(y))
+    # the worst of states (1,0) and (0,1), min(c_d y, c_r (P - y)), peaks
+    # where the two are equal; (1,1) is their sum and never binds.  Both
+    # powers come from the closed form: P - y loses digits when y ~ P.
+    y = g.c_r * P / (g.c_d + g.c_r)
+    p_h_r = g.c_d * P / (g.c_d + g.c_r)
+    R_h = cfg.B * math.log2(1.0 + g.c_d * y / g.sigma_n2)
     R_l = cfg.B * math.log2(1.0 + g.c_d * P / g.sigma_n2)
     tm = cfg.T / cfg.M
     s_h = (1.0 - out.P_out_h) * tm * R_h
@@ -401,7 +401,7 @@ def time_sharing_point(cfg: SystemConfig, alpha: float) -> TimeSharingPoint:
         P_out_h=out.P_out_h,
         P_out_l=out.P_out_l,
         p_h_d=y,
-        p_h_r=P - y,
+        p_h_r=p_h_r,
     )
 
 

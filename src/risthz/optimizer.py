@@ -14,11 +14,12 @@ with an inner concave maximization over the 2-simplex (the power budget
 binds and p_l_r = 0 at the optimum, so three free powers remain).  The
 inner solve uses nested golden-section search: for fixed multipliers the
 rate bounds are concave in the powers, hence the objective is concave
-and unimodal along every line.  An exhaustive grid search over the same
-simplex serves as the ground-truth oracle in the tests.
+and unimodal along every line.
 
 ``structural_solve`` reaches the same optimum exactly by a 1-D bisection
-on the LC power (see its docstring); the HC-fraction searches use it.
+on the LC power (see its docstring).  It drives the HC-fraction searches
+and is the reference SCA is checked against; brute-force grids, among
+them ``grid_oracle_3d``, check its premises in the tests.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .config import SystemConfig
 from .mcsc import OutageProbs, PowerAllocation, RateTargets, outage_probs
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-MIN_ORACLE_GRID = 100  # coarsest grid_oracle scan
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def hc_state_terms(p: PowerAllocation, g: ThresholdGains):
     in the blockage states (0,1), (1,0) and (1,1), in that order.
 
     Plain arithmetic, so the powers may be floats (the SCA multiplier
-    updates and rate bounds) or equal-shape arrays (the grid oracles) with
+    updates and rate bounds) or equal-shape arrays (the grid scans) with
     the same rounding.
     """
     sig_d, sig_r = g.c_d * p.p_h_d, g.c_r * p.p_h_r
@@ -447,62 +447,6 @@ def _grid_objective(
     R_h = cfg.B * np.log2(1.0 + gam_h)
     R_l = cfg.B * np.log2(1.0 + g.c_d * p.p_l_d / g.sigma_n2)
     return np.minimum(*stability_gaps(RateTargets(R_h, R_l), cfg, outage))
-
-
-def grid_oracle(
-    cfg: SystemConfig, budget: LinkBudget, n_grid: int = 500
-) -> SolveResult:
-    """Brute-force grid search over the 2-simplex (p_l_r = 0).
-
-    Ground-truth reference for the SCA solver: an exhaustive
-    n_grid x n_grid barycentric scan of the original objective (exact
-    SINR ratios, no transform) followed by deterministic beam
-    refinement.  The max-min objective is kinked along the curve where
-    the two stability gaps equalize, so a single-level grid error is
-    linear in the spacing and a single-incumbent zoom can get trapped in
-    the wrong cell; subdividing the top-K cells at every level tracks
-    the whole near-optimal ridge instead.  Ties resolve to the first
-    index at every level.
-    """
-    if n_grid < MIN_ORACLE_GRID:
-        raise ValueError(f"n_grid must be >= {MIN_ORACLE_GRID}")
-    g = threshold_gains(budget)
-    outage = outage_probs(cfg, budget)
-    P = cfg.P_max
-
-    def scan(phd, phr):
-        ok = (phd >= 0) & (phr >= 0) & (phd + phr <= P)
-        phd, phr = phd[ok], phr[ok]
-        p = PowerAllocation(phd, phr, P - phd - phr, np.zeros_like(phd))
-        return phd, phr, _grid_objective(p, cfg, g, outage)
-
-    i, j = np.meshgrid(np.arange(n_grid + 1), np.arange(n_grid + 1), indexing="ij")
-    mask = i + j <= n_grid
-    phd, phr, obj = scan(i[mask] * (P / n_grid), j[mask] * (P / n_grid))
-
-    beam = 256
-    h = P / n_grid
-    for _ in range(14):
-        top = np.argsort(-obj, kind="stable")[:beam]
-        phd, phr = phd[top], phr[top]
-        h /= 5.0
-        off = np.arange(-10, 11) * h  # spans +-2 parent cells at 5x resolution
-        dx, dy = np.meshgrid(off, off, indexing="ij")
-        phd, phr, obj = scan(
-            (phd[:, None] + dx.ravel()[None, :]).ravel(),
-            (phr[:, None] + dy.ravel()[None, :]).ravel(),
-        )
-
-    k = int(np.argmax(obj))
-    p = PowerAllocation(float(phd[k]), float(phr[k]), float(P - phd[k] - phr[k]))
-    best = float(obj[k])
-    R = RateTargets(
-        R_h=hc_service_rate(p, cfg, budget), R_l=lc_service_rate(p, cfg, budget)
-    )
-    d = stability_gaps(R, cfg, outage)
-    return SolveResult(
-        p=p, R=R, delta=d, objective=best, iterations=1, converged=True
-    )
 
 
 def grid_oracle_3d(

@@ -133,10 +133,29 @@ class TestSubcommands:
         assert proc.returncode == EXIT_INFEASIBLE
         assert "infeasible" in proc.stderr
 
+    def test_strict_hc_default_grid_is_feasible(self):
+        proc = run_cli("strict-hc", "--jobs", "1")
+        assert proc.returncode == EXIT_OK
+        assert len(proc.stdout.splitlines()) == 1 + 9  # 3 sigma_m x 3 strategies
+
+    def test_unreachable_outage_target_exit_code(self):
+        proc = run_cli("strict-hc", "--sigma-grid", "0.24:1:0.24", "--jobs", "1")
+        assert proc.returncode == EXIT_INFEASIBLE
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("infeasible:")
+
     def test_oracle_check_passes(self):
-        proc = run_cli("oracle-check", "--n", "3", "--seed", "7", "--grid", "500")
+        proc = run_cli("oracle-check", "--n", "3", "--seed", "7")
         assert proc.returncode == EXIT_OK
         assert "3/3 passed" in proc.stdout
+
+    @pytest.mark.parametrize("argv", [
+        "solve --bogus", "queue-sim --scheme nope", "feasibility --jobs x",
+    ])
+    def test_usage_error_exit_code(self, argv):
+        proc = run_cli(*argv.split())
+        assert proc.returncode == EXIT_CONFIG
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestArgumentBounds:
@@ -144,8 +163,7 @@ class TestArgumentBounds:
         ("queue-sim --alpha-grid 0.5:1:0.5 --reps 0", "--reps must be >= 1, got 0"),
         ("queue-sim --alpha-grid 0.5:1:0.5 --slots 50", "--slots must be >= 100, got 50"),
         ("queue-sim --alpha-grid 0.5:1:0.5 --slots 0", "--slots must be >= 100, got 0"),
-        ("oracle-check --n 1 --grid 50", "--grid must be >= 100, got 50"),
-    ], ids=["reps-0", "slots-50", "slots-0", "grid-50"])
+    ], ids=["reps-0", "slots-50", "slots-0"])
     def test_out_of_range_is_config_error(self, capsys, argv, message):
         assert main(argv.split()) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"

@@ -4,11 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from risthz.channel import derive_link_budget
 from risthz.config import SystemConfig
 from risthz.mcsc import outage_probs
-from risthz.optimizer import max_arrival_rate, random_config, sca_solve
+from risthz.optimizer import (
+    _golden_max,
+    max_arrival_rate,
+    random_config,
+    sca_solve,
+    threshold_gains,
+)
 from risthz import experiments
 from risthz.experiments import (
     DEFAULT_ALPHA_TOL,
@@ -200,7 +208,30 @@ class TestAdaptBeamwidth:
         assert done >= 10
 
 
+def golden_hc_rate(cfg):
+    """Time-sharing HC rate from a golden-section search on the worst
+    single-path state, min(c_d y, c_r (P - y)) / sigma^2."""
+    g = threshold_gains(derive_link_budget(cfg))
+    P = cfg.P_max
+
+    def worst_hc(y):
+        return min(g.c_d * y, g.c_r * (P - y)) / g.sigma_n2
+
+    y, _ = _golden_max(worst_hc, 0.0, P, 1e-10 * P)
+    return cfg.B * math.log2(1.0 + worst_hc(y))
+
+
 class TestTimeSharing:
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_closed_form_split(self, seed):
+        c = random_config(np.random.default_rng(seed))
+        ts = time_sharing_point(c, c.alpha)
+        g = threshold_gains(derive_link_budget(c))
+        sig_d, sig_r = g.c_d * ts.p_h_d, g.c_r * ts.p_h_r
+        assert abs(sig_d - sig_r) <= 1e-15 * max(sig_d, sig_r)
+        assert math.isclose(ts.p_h_d + ts.p_h_r, c.P_max, rel_tol=1e-15)
+        assert ts.R_h >= golden_hc_rate(c)
+
     def test_pure_lc_matches_mcsc_at_alpha_zero(self, cfg):
         ts = time_sharing_point(cfg, 0.0)
         assert ts.lam == 0.0

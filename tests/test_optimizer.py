@@ -1,6 +1,6 @@
 """Power-allocation solver tests: rate bounds, stability gaps,
 quadratic-transform updates, SCA convergence, the structural solver and
-the grid oracle."""
+the brute-force grids that check its premises."""
 
 import json
 import math
@@ -18,7 +18,7 @@ from risthz.mcsc import PowerAllocation, RateTargets, outage_probs
 from risthz.optimizer import (
     _argmax,
     _golden_max,
-    grid_oracle,
+    _grid_objective,
     grid_oracle_3d,
     hc_service_rate,
     hc_state_terms,
@@ -330,13 +330,13 @@ class TestScaSolve:
             res = sca_solve(c, derive_link_budget(c))
             assert abs(res.p.total() - c.P_max) <= 1e-6 * c.P_max
 
-    def test_matches_grid_oracle(self):
+    def test_matches_structural_solve(self):
         rng = np.random.default_rng(41)
         for _ in range(5):
             c = random_config(rng)
             b = derive_link_budget(c)
             sca = sca_solve(c, b)
-            ref = grid_oracle(c, b, n_grid=500)
+            ref = structural_solve(c, b)
             assert abs(sca.objective - ref.objective) <= 1e-3 * (
                 1.0 + abs(ref.objective)
             )
@@ -362,6 +362,19 @@ class TestPinnedSca:
         assert [v.hex() for v in p] == case["p"]
         assert [v.hex() for v in res.objective_trace] == case["objective_trace"]
         assert res.iterations == case["iterations"]
+
+
+def simplex_scan_best(cfg, budget, n=500):
+    """Best objective of a one-level n-step scan of the 2-simplex
+    p_h_d + p_h_r + p_l_d = P_max, p_l_r = 0."""
+    g = threshold_gains(budget)
+    out = outage_probs(cfg, budget)
+    P = cfg.P_max
+    i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
+    mask = i + j <= n
+    phd, phr = i[mask] * (P / n), j[mask] * (P / n)
+    p = PowerAllocation(phd, phr, P - phd - phr, np.zeros_like(phd))
+    return float(np.max(_grid_objective(p, cfg, g, out)))
 
 
 class TestStructuralSolve:
@@ -391,14 +404,23 @@ class TestStructuralSolve:
             (s01, i01), (s10, i10), _ = explicit_state_terms(p, threshold_gains(b))
             assert rel(s01 / i01, s10 / i10) <= 1e-12
 
+    @given(seed=st.integers(0, 2**32 - 1), alpha=st.sampled_from([None, 0.0, 1.0]))
+    def test_never_below_brute_force_grids(self, seed, alpha):
+        # brute force that assumes none of the solver's premises:
+        # grid_oracle_3d lets p_l_r vary, and the 2-D scan lets the HC
+        # split and the LC power vary independently
+        c = random_config(np.random.default_rng(seed))
+        if alpha is not None:
+            c = c.with_(alpha=alpha)
+        b = derive_link_budget(c)
+        obj = structural_solve(c, b).objective
+        for ref in (grid_oracle_3d(c, b, n_grid=60).objective, simplex_scan_best(c, b)):
+            assert obj >= ref - 1e-12 * (1.0 + abs(ref))
+
 
 class TestGridOracle:
-    def test_rejects_coarse_grid(self, cfg, budget):
-        with pytest.raises(ValueError):
-            grid_oracle(cfg, budget, n_grid=50)
-
     def test_all_power_to_lc_at_alpha_zero(self, cfg, budget):
-        res = grid_oracle(cfg.with_(alpha=0.0), budget, n_grid=100)
+        res = grid_oracle_3d(cfg.with_(alpha=0.0), budget, n_grid=60)
         assert res.p.p_l_d == pytest.approx(cfg.P_max, rel=1e-9)
 
     def test_no_lc_ris_power_at_optimum(self, cfg, budget):
@@ -418,7 +440,7 @@ class TestMaxArrivalRate:
         b = max_arrival_rate(cfg.with_(A_bar=123.0), budget, 0.5)
         assert a == pytest.approx(b, rel=1e-9)
 
-    def test_matches_grid_oracle_at_half(self, cfg, budget):
+    def test_matches_structural_solve_at_half(self, cfg, budget):
         a = max_arrival_rate(cfg, budget, 0.5)
-        ref = grid_oracle(cfg.with_(alpha=0.5, A_bar=0.0), budget, n_grid=500)
+        ref = structural_solve(cfg.with_(alpha=0.5, A_bar=0.0), budget)
         assert a == pytest.approx(ref.objective, rel=1e-3)
