@@ -28,6 +28,7 @@ from .optimizer import (
     max_arrival_rate,
     sca_solve,
     stability_gaps,
+    structural_solve,
     update_mu,
 )
 from .queueing import QueueTrace, simulate, stability_diagnostic
@@ -57,5 +58,6 @@ __all__ = [
     "simulate",
     "stability_diagnostic",
     "stability_gaps",
+    "structural_solve",
     "update_mu",
 ]

@@ -6,7 +6,7 @@ CSV (RFC-4180, shortest round-trip float formatting) plus a JSON run
 manifest; re-running from a manifest reproduces the CSV byte-for-byte.
 
 Exit codes: 0 success, 1 config or usage error, 2 numerical
-non-convergence, 3 infeasibility.
+non-convergence, 3 infeasibility (``strict-hc``: after writing all points).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from . import __version__
 from .channel import derive_link_budget
 from .config import ConfigError, SystemConfig, default_config_text, load_config
 from .experiments import (
-    BeamAdaptationError,
     blockage_sweep,
     delay_sweep,
     feasibility_region,
@@ -192,7 +191,12 @@ def cmd_strict_hc(args) -> int:
         jobs=args.jobs,
     )
     _emit(res, args.out, "strict-hc", cfg, args, args._t0)
-    return EXIT_OK
+    unreachable = (r["sigma_m"] for r in res.records if not r["feasible"])
+    bad = ", ".join(dict.fromkeys(map(repr, unreachable)))
+    if bad:
+        print(f"infeasible: no beam meets HC outage target {args.target} at sigma_m = {bad}",
+              file=sys.stderr)
+    return EXIT_INFEASIBLE if bad else EXIT_OK
 
 
 def _require_at_least(flag: str, value: int, least: int) -> None:
@@ -357,9 +361,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except BeamAdaptationError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
 
 
 if __name__ == "__main__":

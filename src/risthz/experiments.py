@@ -19,7 +19,7 @@ import hashlib
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -45,7 +45,6 @@ from .queueing import (
 W_R_MIN = 1e-4  # [m] bisection bracket for beamwidth inversion
 W_R_MAX = 10.0
 
-DEFAULT_ALPHA_TOL = 1e-3
 DEFAULT_N_SLOTS = 20000
 
 
@@ -171,6 +170,9 @@ def argmax_unimodal(fn, lo: float, hi: float, tol: float, n_prescan: int = 21,
                     n_fallback: int = 201) -> float:
     """Argmax of a presumed-unimodal function on [lo, hi].
 
+    No caller in the program: the tests' reference search, resolved by
+    name by the benchmark's tracer.
+
     A coarse pre-scan locates the bracket (and checks unimodality up to
     numerical noise); golden-section search then refines.  If the
     pre-scan is non-unimodal, warns (``RuntimeWarning``) and falls back
@@ -198,44 +200,75 @@ def argmax_unimodal(fn, lo: float, hi: float, tol: float, n_prescan: int = 21,
     return float(x)
 
 
-def _a_max_fn(cfg: SystemConfig):
-    """Largest stabilizable arrival rate as a function of the HC fraction,
-    from the exact structural solver (A_bar does not move the powers)."""
-    budget = derive_link_budget(cfg)
-    cache: dict[float, float] = {}
+def _frontier(cfg: SystemConfig, budget):
+    """The max-min frontier at A_bar = 0 as a curve in the LC power x.
 
-    def fn(alpha: float) -> float:
-        if alpha not in cache:
-            cfg_a = cfg.with_(alpha=alpha, A_bar=0.0)
-            cache[alpha] = structural_solve(cfg_a, budget).objective
-        return cache[alpha]
+    The gaps are equal at the optimum (``structural_solve``), so the HC
+    fraction alpha(x) = S_h / (S_h + S_l) falls from 1 at x = 0 to 0 at
+    x = P, and A = S_h + S_l is the largest stabilizable arrival rate.
+    The served rates are S = k R with k = (1 - P_out) T / M and, for
+    c = c_d c_r and D = (c_d + c_r) sigma^2,
+    R_h = B log2((D + c P) / (D + c x)), R_l = B log2(1 + c_d x / sigma^2).
 
-    return fn
+    Returns ``rate(x, w_h=1, w_l=1)`` = w_h S_h + w_l S_l, ``alpha(x)``
+    (0 where nothing is served) and ``argmax(w_h, w_l, hi)``, the x in
+    [0, hi] maximizing ``rate``.  The derivative of ``rate`` has the sign
+    of a linear function of x with its root at
+    x* = sigma^2 (b / ((a - b) c_r) - 1 / c_d), a = w_h k_h, b = w_l k_l:
+    a maximum when a > b, negative otherwise.  So the argmax is x*
+    clipped to [0, hi] or an endpoint; ties go to the largest x.
+    """
+    out = outage_probs(cfg, budget)
+    g = threshold_gains(budget)
+    c_d, c_r, s2 = g.c_d, g.c_r, g.sigma_n2
+    c, D = c_d * c_r, (c_d + c_r) * s2
+    tm = cfg.T / cfg.M
+    k_h, k_l = (1.0 - out.P_out_h) * tm, (1.0 - out.P_out_l) * tm
+    B, P, log2 = cfg.B, cfg.P_max, math.log2
+
+    def rate(x: float, w_h: float = 1.0, w_l: float = 1.0) -> float:
+        return (w_h * k_h * (B * log2((D + c * P) / (D + c * x)))
+                + w_l * k_l * (B * log2(1.0 + c_d * x / s2)))
+
+    def alpha(x: float) -> float:
+        a = rate(x)
+        return rate(x, 1.0, 0.0) / a if a > 0.0 else 0.0
+
+    def argmax(w_h: float, w_l: float, hi: float) -> float:
+        a, b = w_h * k_h, w_l * k_l
+        x_star = s2 * (b / ((a - b) * c_r) - 1.0 / c_d) if a > b else 0.0
+        return max((hi, min(max(x_star, 0.0), hi), 0.0), key=lambda x: rate(x, w_h, w_l))
+
+    return rate, alpha, argmax
 
 
-def alpha_sum_star(cfg: SystemConfig, tol: float = DEFAULT_ALPHA_TOL) -> float:
-    """HC fraction maximizing the total stabilizable throughput."""
-    return argmax_unimodal(_a_max_fn(cfg), 0.0, 1.0, tol)
+def alpha_sum_star(cfg: SystemConfig) -> float:
+    """HC fraction maximizing the total stabilizable throughput, in closed
+    form on the frontier (``_frontier``); 0 when nothing can be served."""
+    _, alpha, argmax = _frontier(cfg, derive_link_budget(cfg))
+    return alpha(argmax(1.0, 1.0, cfg.P_max))
 
 
-def alpha_tradeoff_star(
-    cfg: SystemConfig,
-    tol: float = DEFAULT_ALPHA_TOL,
-    alpha_sum: float | None = None,
-) -> float:
+def alpha_tradeoff_star(cfg: SystemConfig, alpha_sum: float | None = None) -> float:
     """Tradeoff HC fraction: maximizes normalized total throughput plus
-    normalized HC throughput over [alpha_sum*, 1]."""
-    fn = _a_max_fn(cfg)
+    normalized HC throughput over [alpha_sum*, 1].
+
+    On the frontier that is A(x) / A(x_sum) + S_h(x) / A(0) over
+    x in [0, x_sum], solved like ``alpha_sum_star``.  A caller-given
+    ``alpha_sum`` maps to x_sum through one ``structural_solve``.  A term
+    whose normalizer is 0 is dropped.
+    """
+    budget = derive_link_budget(cfg)
+    rate, alpha, argmax = _frontier(cfg, budget)
     if alpha_sum is None:
-        alpha_sum = argmax_unimodal(fn, 0.0, 1.0, tol)
-    a_ref = fn(alpha_sum)
-    a_one = fn(1.0)
-
-    def tradeoff(alpha: float) -> float:
-        a = fn(alpha)
-        return a / a_ref + alpha * a / a_one
-
-    return argmax_unimodal(tradeoff, alpha_sum, 1.0, tol)
+        x_sum = argmax(1.0, 1.0, cfg.P_max)
+    else:
+        x_sum = structural_solve(cfg.with_(alpha=alpha_sum, A_bar=0.0), budget).p.p_l_d
+    u, v = (1.0 / a if a > 0.0 else 0.0 for a in (rate(x_sum), rate(0.0)))
+    x_t = argmax(u + v, u, x_sum)
+    if x_t == x_sum and alpha_sum is not None:
+        return alpha_sum  # the bracket's end is the caller's alpha
+    return alpha(x_t)
 
 
 def _three_alpha_records(cfg: SystemConfig, label_value: tuple[str, float]) -> list[dict]:
@@ -285,13 +318,13 @@ def misalignment_sweep(cfg: SystemConfig, sigma_grid, jobs: int = 1) -> SweepRes
     )
 
 
-def _log_w_eq_of_w_r(cfg: SystemConfig, w_r: float) -> float:
-    """log of the reflected equivalent beamwidth as a function of w_r.
+def _log_w_eq_of_w_r(a_U: float, w_r: float) -> float:
+    """log of the reflected equivalent beamwidth as a function of w_r, for
+    a receiving aperture of radius a_U.
 
     Evaluated in log space because the equivalent-width factor contains
     e^{v^2}, which overflows for very narrow beams (v ~ a_U / w_r).
     """
-    a_U = derive_link_budget(cfg).a_U
     _, v = collection_fraction(a_U, w_r)
     # log w_eq^2 = 2 log w + log(sqrt(pi) erf(v) / (2 v)) + v^2
     log_sq = (
@@ -319,7 +352,8 @@ def adapt_beamwidth(cfg: SystemConfig, target_P_out_h: float) -> tuple[float, fl
     """
     if not 0.0 < target_P_out_h <= 1.0:
         raise ValueError("target_P_out_h must lie in (0, 1]")
-    fail_d = outage_probs(cfg, derive_link_budget(cfg)).P_out_l
+    budget = derive_link_budget(cfg)
+    fail_d, a_U = outage_probs(cfg, budget).P_out_l, budget.a_U
     ratio = target_P_out_h / fail_d
     if ratio >= 1.0:
         return W_R_MIN, ris_gain(cfg.d_RU, W_R_MIN)
@@ -334,7 +368,7 @@ def adapt_beamwidth(cfg: SystemConfig, target_P_out_h: float) -> tuple[float, fl
     log_target = math.log(2.0 * cfg.sigma_mr * gamma)
 
     probes = np.geomspace(W_R_MIN, W_R_MAX, 200)
-    logs = [_log_w_eq_of_w_r(cfg, float(w)) for w in probes]
+    logs = [_log_w_eq_of_w_r(a_U, float(w)) for w in probes]
     i_min = int(np.argmin(logs))
     branch = logs[i_min:]
     if not all(b > a for a, b in zip(branch, branch[1:])):
@@ -348,7 +382,7 @@ def adapt_beamwidth(cfg: SystemConfig, target_P_out_h: float) -> tuple[float, fl
     lo, hi = float(probes[i_min]), W_R_MAX
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if _log_w_eq_of_w_r(cfg, mid) < log_target:
+        if _log_w_eq_of_w_r(a_U, mid) < log_target:
             lo = mid
         else:
             hi = mid
@@ -414,7 +448,8 @@ def strict_hc_sweep(
 ) -> SweepResult:
     """Strict-HC scenario: hold P_out_h at ``target`` by beamwidth
     adaptation and compare time sharing at alpha_min, MC-SC at
-    max(alpha_min, alpha_sum*), and MC-SC at alpha = 1."""
+    max(alpha_min, alpha_sum*), and MC-SC at alpha = 1.  A sigma_m where
+    no beam meets the target gives records with ``feasible`` = 0 and NaNs."""
     grid = [float(s) for s in sigma_grid]
     fn = partial(_strict_hc_point, cfg, alpha_min, target)
     nested = _pmap(fn, grid, jobs)
@@ -426,33 +461,33 @@ def strict_hc_sweep(
     )
 
 
+# strict-HC CSV columns, the same whether or not a point is reachable
+_STRICT_COLUMNS = ("sigma_m", "strategy", "w_r",
+                   *(f.name for f in fields(TimeSharingPoint)), "p_l_d", "p_l_r", "feasible")
+
+
 def _strict_hc_point(
     cfg: SystemConfig, alpha_min: float, target: float, sigma_m: float
 ) -> list[dict]:
     cfg_s = cfg.with_(sigma_md=sigma_m, sigma_mr=2.0 * sigma_m)
-    if target >= outage_probs(cfg_s, derive_link_budget(cfg_s)).P_out_l:
-        # equality unreachable: the target is met for every beamwidth
-        cfg_ad = cfg_s
+    cfg_ad = cfg_s  # a target at or above P_out_l holds for every beamwidth
+    try:
+        if target < outage_probs(cfg_s, derive_link_budget(cfg_s)).P_out_l:
+            cfg_ad = cfg_s.with_(w_r=adapt_beamwidth(cfg_s, target)[0])
+    except BeamAdaptationError:
+        points = [{"feasible": 0}] * 3  # unreachable: NaN metrics
     else:
-        w_r, _ = adapt_beamwidth(cfg_s, target)
-        cfg_ad = cfg_s.with_(w_r=w_r)
-    records = []
-    ts = time_sharing_point(cfg_ad, alpha_min)
-    rec = {"sigma_m": sigma_m, "strategy": "time_sharing", "w_r": cfg_ad.w_r}
-    rec.update(asdict(ts))
-    records.append(rec)
-    a_mc = max(alpha_min, alpha_sum_star(cfg_ad))
-    for label, alpha in (("mcsc", a_mc), ("all_hc", 1.0)):
-        rec = {"sigma_m": sigma_m, "strategy": label, "w_r": cfg_ad.w_r}
-        rec.update(asdict(operating_point(cfg_ad, alpha)))
-        rec["lam"] = math.nan
-        records.append(rec)
-    # align columns across strategies, in first-seen order
-    keys = list(dict.fromkeys(k for r in records for k in r))
-    for r in records:
-        for k in keys:
-            r.setdefault(k, math.nan)
-    return records
+        a_mc = max(alpha_min, alpha_sum_star(cfg_ad))
+        points = [{"w_r": cfg_ad.w_r, "feasible": 1, **asdict(pt)} for pt in (
+            time_sharing_point(cfg_ad, alpha_min),
+            operating_point(cfg_ad, a_mc),
+            operating_point(cfg_ad, 1.0),
+        )]
+    return [
+        {k: {"sigma_m": sigma_m, "strategy": label, **pt}.get(k, math.nan)
+         for k in _STRICT_COLUMNS}
+        for label, pt in zip(("time_sharing", "mcsc", "all_hc"), points)
+    ]
 
 
 def simulate_time_sharing(

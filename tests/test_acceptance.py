@@ -27,7 +27,6 @@ from risthz.optimizer import (
     update_mu,
 )
 from risthz.experiments import (
-    _a_max_fn,
     alpha_sum_star,
     alpha_tradeoff_star,
     blockage_sweep,
@@ -61,7 +60,11 @@ def test_criterion_2_tradeoff_anchors(cfg):
     t0 = time.time()
     a_sum = alpha_sum_star(cfg)
     a_t = alpha_tradeoff_star(cfg, alpha_sum=a_sum)
-    fn = _a_max_fn(cfg)
+    budget = derive_link_budget(cfg)
+
+    def fn(alpha):  # largest stabilizable arrival rate at alpha
+        return structural_solve(cfg.with_(alpha=alpha, A_bar=0.0), budget).objective
+
     hc_ratio = (a_t * fn(a_t)) / (a_sum * fn(a_sum))
     reduction = 1.0 - fn(a_t) / fn(a_sum)
     elapsed = time.time() - t0

@@ -1,6 +1,7 @@
 """Command-line interface tests: subcommands, exit codes, config
 handling, manifests, and byte-identical reruns."""
 
+import csv
 import json
 import os
 import subprocess
@@ -138,11 +139,37 @@ class TestSubcommands:
         assert proc.returncode == EXIT_OK
         assert len(proc.stdout.splitlines()) == 1 + 9  # 3 sigma_m x 3 strategies
 
-    def test_unreachable_outage_target_exit_code(self):
-        proc = run_cli("strict-hc", "--sigma-grid", "0.24:1:0.24", "--jobs", "1")
+    def test_unreachable_outage_target_exit_code(self, tmp_path):
+        # sigma_m = 0.19 and 0.24 cannot meet the target: their points are
+        # written as records and only the exit code and stderr flag them
+        out = tmp_path / "shc.csv"
+        proc = run_cli("strict-hc", "--sigma-grid", "0.14:0.05:0.24", "--jobs", "1",
+                       "--out", str(out))
         assert proc.returncode == EXIT_INFEASIBLE
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("infeasible:")
+        assert "0.19" in lines[0] and "0.24" in lines[0] and "0.14" not in lines[0]
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 9
+        assert [r["feasible"] for r in rows] == ["1"] * 3 + ["0"] * 6
+        for r in rows[3:]:
+            assert all(r[k] == "nan" for k in r if k not in ("sigma_m", "strategy", "feasible"))
+        assert (tmp_path / "shc.csv.manifest.json").is_file()
+
+    def test_blockage_sweep_with_both_classes_in_outage(self, tmp_path):
+        # q_r = 1 makes the outage weights equal at q_d = 0.5, and at
+        # q_d = 1 both classes are always in outage, so A = 0 everywhere
+        cfg = tmp_path / "qr1.cfg"
+        cfg.write_text("q_r = 1.0\n")
+        out = tmp_path / "blk.csv"
+        rc = main(["blockage-sweep", "--config", str(cfg), "--qd-grid", "0.5:0.5:1",
+                   "--jobs", "1", "--out", str(out)])
+        assert rc == EXIT_OK
+        with open(out, newline="") as fh:
+            rows = {(r["q_d"], r["alpha_label"]): r for r in csv.DictReader(fh)}
+        assert float(rows[("1.0", "alpha_T")]["alpha"]) == 0.0
+        assert float(rows[("1.0", "alpha_T")]["A_max"]) == 0.0
 
     def test_oracle_check_passes(self):
         proc = run_cli("oracle-check", "--n", "3", "--seed", "7")

@@ -15,11 +15,11 @@ from risthz.optimizer import (
     max_arrival_rate,
     random_config,
     sca_solve,
+    structural_solve,
     threshold_gains,
 )
 from risthz import experiments
 from risthz.experiments import (
-    DEFAULT_ALPHA_TOL,
     BeamAdaptationError,
     W_R_MIN,
     adapt_beamwidth,
@@ -86,18 +86,36 @@ class TestArgmaxUnimodal:
         assert got == pytest.approx(0.8, abs=0.01)
 
 
-def sca_a_max_fn(cfg):
-    """The HC-fraction searches' objective driven by SCA, through
-    ``max_arrival_rate``: the reference for the structural solver."""
+DEFAULT_ALPHA_TOL = 1e-3  # tolerance of the reference searches
+
+
+def a_max_fn(cfg, solve=structural_solve):
+    """Largest stabilizable arrival rate as a function of the HC fraction
+    (A_bar does not move the powers), from ``solve``; cached."""
     budget = derive_link_budget(cfg)
     cache = {}
 
     def fn(alpha):
         if alpha not in cache:
-            cache[alpha] = max_arrival_rate(cfg, budget, alpha)
+            cache[alpha] = solve(cfg.with_(alpha=alpha, A_bar=0.0), budget).objective
         return cache[alpha]
 
     return fn
+
+
+def search_alpha_sum(fn):
+    """Reference alpha_sum*: golden-section search of A(alpha)."""
+    return argmax_unimodal(fn, 0.0, 1.0, DEFAULT_ALPHA_TOL)
+
+
+def tradeoff_fn(fn, alpha_sum):
+    a_ref, a_one = fn(alpha_sum), fn(1.0)
+    return lambda alpha: fn(alpha) / a_ref + alpha * fn(alpha) / a_one
+
+
+def search_alpha_tradeoff(fn, alpha_sum):
+    """Reference alpha_T*: golden-section search over [alpha_sum, 1]."""
+    return argmax_unimodal(tradeoff_fn(fn, alpha_sum), alpha_sum, 1.0, DEFAULT_ALPHA_TOL)
 
 
 _rng = np.random.default_rng(5)
@@ -106,15 +124,116 @@ SEARCH_CONFIGS = [SystemConfig()] + [random_config(_rng) for _ in range(4)]
 
 class TestAlphaSearches:
     @pytest.mark.parametrize("i", range(len(SEARCH_CONFIGS)))
-    def test_match_sca_driven_search(self, monkeypatch, i):
+    def test_match_sca_driven_search(self, i):
         c = SEARCH_CONFIGS[i]
         a_sum = alpha_sum_star(c)
         a_t = alpha_tradeoff_star(c, alpha_sum=a_sum)
-        monkeypatch.setattr(experiments, "_a_max_fn", sca_a_max_fn)
-        ref_sum = alpha_sum_star(c)
-        ref_t = alpha_tradeoff_star(c, alpha_sum=ref_sum)
+        fn = a_max_fn(c, sca_solve)
+        ref_sum = search_alpha_sum(fn)
+        ref_t = search_alpha_tradeoff(fn, ref_sum)
         assert abs(a_sum - ref_sum) <= DEFAULT_ALPHA_TOL
         assert abs(a_t - ref_t) <= DEFAULT_ALPHA_TOL
+
+
+def frontier_point(c, t):
+    """(alpha, A) of the closed-form frontier at the LC power x = t P."""
+    rate, alpha, _ = experiments._frontier(c, derive_link_budget(c))
+    return alpha(t * c.P_max), rate(t * c.P_max)
+
+
+class TestFrontier:
+    """The closed-form HC fractions against searches over the exact
+    solver, which share none of the closed form's algebra."""
+
+    @given(seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 1.0))
+    def test_rate_matches_structural_solve(self, seed, t):
+        c = random_config(np.random.default_rng(seed))
+        alpha, a = frontier_point(c, t)
+        ref = a_max_fn(c)(alpha)
+        assert abs(a - ref) <= 1e-9 * (1.0 + abs(ref))
+
+    @given(seed=st.integers(0, 2**32 - 1), given_sum=st.booleans())
+    def test_matches_golden_section_reference(self, seed, given_sum):
+        c = random_config(np.random.default_rng(seed))
+        fn = a_max_fn(c)
+        ref_sum = search_alpha_sum(fn)
+        assert abs(alpha_sum_star(c) - ref_sum) <= DEFAULT_ALPHA_TOL
+        a_t = alpha_tradeoff_star(c, alpha_sum=ref_sum if given_sum else None)
+        assert abs(a_t - search_alpha_tradeoff(fn, ref_sum)) <= DEFAULT_ALPHA_TOL
+
+    @given(seed=st.integers(0, 2**32 - 1), given_sum=st.booleans())
+    def test_never_beaten_by_alpha_grid(self, seed, given_sum):
+        c = random_config(np.random.default_rng(seed))
+        fn = a_max_fn(c)
+        grid = [float(a) for a in np.linspace(0.0, 1.0, 201)]
+        a_sum = alpha_sum_star(c)
+        best = max(fn(a) for a in grid)
+        assert fn(a_sum) >= best - 1e-12 * (1.0 + abs(best))
+        a_t = alpha_tradeoff_star(c, alpha_sum=a_sum if given_sum else None)
+        assert a_t >= a_sum
+        tradeoff = tradeoff_fn(fn, a_sum)
+        best = max(tradeoff(a) for a in grid if a >= a_sum)
+        assert tradeoff(a_t) >= best - 1e-12 * (1.0 + abs(best))
+
+    def test_equal_outage_weights(self, cfg):
+        # q_r = 1: HC has only the direct path, so k_h = k_l and the total
+        # rate rises up to x = P (all power to LC)
+        c = cfg.with_(q_r=1.0)
+        out = outage_probs(c, derive_link_budget(c))
+        assert out.P_out_h == out.P_out_l
+        fn = a_max_fn(c)
+        assert alpha_sum_star(c) == search_alpha_sum(fn) == 0.0
+        for a_sum in (None, 0.0):
+            a_t = alpha_tradeoff_star(c, alpha_sum=a_sum)
+            assert abs(a_t - search_alpha_tradeoff(fn, 0.0)) <= DEFAULT_ALPHA_TOL
+
+    def test_lc_always_in_outage(self, cfg):
+        # q_d = 1: k_l = 0 < k_h, so every rate goes to HC
+        c = cfg.with_(q_d=1.0)
+        assert outage_probs(c, derive_link_budget(c)).P_out_l == 1.0
+        assert alpha_sum_star(c) == search_alpha_sum(a_max_fn(c)) == 1.0
+        assert alpha_tradeoff_star(c) == alpha_tradeoff_star(c, alpha_sum=1.0) == 1.0
+
+    def test_nothing_served(self, cfg):
+        # q_d = q_r = 1: A = 0 at every alpha; the tradeoff drops both
+        # normalized terms instead of dividing by zero
+        c = cfg.with_(q_d=1.0, q_r=1.0)
+        assert all(a_max_fn(c)(a) == 0.0 for a in (0.0, 0.5, 1.0))
+        assert alpha_sum_star(c) == search_alpha_sum(a_max_fn(c)) == 0.0
+        for a_sum in (None, 0.0, 0.5):
+            assert alpha_tradeoff_star(c, alpha_sum=a_sum) == (a_sum or 0.0)
+
+
+class TestCallBudgets:
+    """The closed forms must stay closed: no solver inside the searches'
+    hot path and one link budget per beam adaptation."""
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        calls = []
+        fn = getattr(experiments, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, wrapper)
+        return calls
+
+    def test_alpha_searches(self, monkeypatch, cfg):
+        calls = (self.counted(monkeypatch, "structural_solve")
+                 + self.counted(monkeypatch, "sca_solve"))
+        a_sum = alpha_sum_star(cfg)
+        assert calls == []
+        alpha_tradeoff_star(cfg)
+        assert calls == []
+        alpha_tradeoff_star(cfg, alpha_sum=a_sum)
+        assert calls.count("structural_solve") <= 1 and "sca_solve" not in calls
+
+    def test_adapt_beamwidth(self, monkeypatch, cfg):
+        calls = self.counted(monkeypatch, "derive_link_budget")
+        adapt_beamwidth(cfg.with_(sigma_md=0.14, sigma_mr=0.28), 0.05)
+        assert len(calls) <= 2
 
 
 class TestSweeps:
@@ -265,6 +384,19 @@ class TestStrictHc:
         res = strict_hc_sweep(cfg, [0.14])
         strategies = {r["strategy"] for r in res.records}
         assert strategies == {"time_sharing", "mcsc", "all_hc"}
+
+    def test_unreachable_point_is_a_record(self, cfg):
+        # at sigma_m = 0.24 the direct-path failure times the RIS blockage
+        # floor exceeds the 0.05 target, so no beam meets it
+        res = strict_hc_sweep(cfg, [0.24, 0.14])
+        assert [r["strategy"] for r in res.records] == ["time_sharing", "mcsc", "all_hc"] * 2
+        assert all(list(r) == list(res.records[0]) for r in res.records)
+        assert [r["feasible"] for r in res.records] == [0] * 3 + [1] * 3
+        for r in res.records[:3]:
+            assert r["sigma_m"] == 0.24
+            assert all(math.isnan(v) for k, v in r.items()
+                       if k not in ("sigma_m", "strategy", "feasible"))
+        assert res.records[3:] == strict_hc_sweep(cfg, [0.14]).records
 
 
 class TestDelaySweep:

@@ -12,14 +12,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from risthz.channel import derive_link_budget
+from risthz.channel import LinkBudget, derive_link_budget
 from risthz.config import SystemConfig
-from risthz.mcsc import PowerAllocation, RateTargets, outage_probs
+from risthz.mcsc import OutageProbs, PowerAllocation, RateTargets, outage_probs
 from risthz.optimizer import (
+    SolveResult,
+    ThresholdGains,
     _argmax,
     _golden_max,
-    _grid_objective,
-    grid_oracle_3d,
     hc_service_rate,
     hc_state_terms,
     lc_service_rate,
@@ -362,6 +362,45 @@ class TestPinnedSca:
         assert [v.hex() for v in p] == case["p"]
         assert [v.hex() for v in res.objective_trace] == case["objective_trace"]
         assert res.iterations == case["iterations"]
+
+
+def _grid_objective(
+    p: PowerAllocation, cfg: SystemConfig, g: ThresholdGains, outage: OutageProbs
+) -> np.ndarray:
+    """Vectorized true objective over a power allocation of arrays."""
+    gam_01, gam_10, gam_11 = (sig / itf for sig, itf in hc_state_terms(p, g))
+    gam_h = np.minimum(np.minimum(gam_01, gam_10), gam_11)
+    R_h = cfg.B * np.log2(1.0 + gam_h)
+    R_l = cfg.B * np.log2(1.0 + g.c_d * p.p_l_d / g.sigma_n2)
+    return np.minimum(*stability_gaps(RateTargets(R_h, R_l), cfg, outage))
+
+
+def grid_oracle_3d(
+    cfg: SystemConfig, budget: LinkBudget, n_grid: int = 60
+) -> SolveResult:
+    """Coarse grid over the full 3-simplex including p_l_r, used to verify
+    that the optimum never benefits from p_l_r > 0."""
+    g = threshold_gains(budget)
+    outage = outage_probs(cfg, budget)
+    rng = np.arange(n_grid + 1)
+    i, j, k = np.meshgrid(rng, rng, rng, indexing="ij")
+    mask = i + j + k <= n_grid
+    i, j, k = i[mask], j[mask], k[mask]
+    P = cfg.P_max
+    phd = i * (P / n_grid)
+    phr = j * (P / n_grid)
+    pld = k * (P / n_grid)
+    plr = (n_grid - i - j - k) * (P / n_grid)
+    obj = _grid_objective(PowerAllocation(phd, phr, pld, plr), cfg, g, outage)
+    m = int(np.argmax(obj))
+    p = PowerAllocation(float(phd[m]), float(phr[m]), float(pld[m]), float(plr[m]))
+    R = RateTargets(
+        R_h=hc_service_rate(p, cfg, budget), R_l=lc_service_rate(p, cfg, budget)
+    )
+    d = stability_gaps(R, cfg, outage)
+    return SolveResult(
+        p=p, R=R, delta=d, objective=float(obj[m]), iterations=1, converged=True
+    )
 
 
 def simplex_scan_best(cfg, budget, n=500):
