@@ -12,7 +12,6 @@ non-convergence, 3 infeasibility (``strict-hc``: after writing all points).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -20,6 +19,7 @@ import sys
 import tempfile
 import time
 from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 
@@ -27,12 +27,13 @@ from . import __version__
 from .channel import derive_link_budget
 from .config import ConfigError, SystemConfig, default_config_text, load_config
 from .experiments import (
+    SweepResult,
     blockage_sweep,
+    config_hash,
     delay_sweep,
     feasibility_region,
     misalignment_sweep,
     strict_hc_sweep,
-    sweep_metadata,
 )
 from .optimizer import random_config, sca_solve, structural_solve
 from .queueing import MIN_DIAGNOSTIC_SLOTS
@@ -74,10 +75,10 @@ def _load_cfg(args) -> SystemConfig:
     return cfg
 
 
-def _write_manifest(path: str, experiment: str, cfg: SystemConfig, args,
-                    outputs: list[str], t0: float) -> None:
+def _write_manifest(args, cfg: SystemConfig) -> None:
+    """Record the run beside its ``--out`` file for ``run_from_manifest``."""
     manifest = {
-        "experiment": experiment,
+        "experiment": args.command,
         "config": cfg.as_dict(),
         "args": {
             k: v
@@ -85,29 +86,24 @@ def _write_manifest(path: str, experiment: str, cfg: SystemConfig, args,
             if k not in ("func", "config", "command", "out", "_t0")
             and v is not None
         },
-        "outputs": outputs,
-        "seed": getattr(args, "seed", None),
+        "outputs": [args.out],
         "version": __version__,
-        "config_hash": sweep_metadata(cfg)["config_hash"],
+        "config_hash": config_hash(cfg),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        "wall_time_s": time.time() - t0,
+        "wall_time_s": time.time() - args._t0,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    if "seed" in vars(args):
+        manifest["seed"] = args.seed
+    with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _emit(result, out: str | None, experiment: str, cfg: SystemConfig, args,
-          t0: float) -> None:
-    if out:
-        result.write_csv(out)
-        _write_manifest(out + ".manifest.json", experiment, cfg, args, [out], t0)
-    else:
-        writer = csv.writer(sys.stdout)
-        cols = list(result.records[0].keys())
-        writer.writerow(cols)
-        for rec in result.records:
-            writer.writerow([rec[c] for c in cols])
+def _emit(result: SweepResult, args, cfg: SystemConfig) -> None:
+    """Write the CSV to ``--out`` with its manifest, or to stdout."""
+    result.write_csv(args.out)
+    if args.out:
+        _write_manifest(args, cfg)
 
 
 def cmd_config(args) -> int:
@@ -150,9 +146,7 @@ def cmd_solve(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
-        _write_manifest(
-            args.out + ".manifest.json", "solve", cfg, args, [args.out], args._t0
-        )
+        _write_manifest(args, cfg)
     return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
 
 
@@ -160,28 +154,21 @@ def _jsonable(x: float):
     return x if math.isfinite(x) else repr(x)
 
 
-def cmd_feasibility(args) -> int:
+def _require_at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise ConfigError(f"{flag} must be >= {least}, got {value}")
+
+
+def cmd_sweep(sweep, grid_dest: str, args) -> int:
+    """``sweep(cfg, grid, jobs=...)`` over the grid option ``grid_dest``."""
+    _require_at_least("--jobs", args.jobs, 1)
     cfg = _load_cfg(args)
-    res = feasibility_region(cfg, parse_grid(args.alpha_grid), jobs=args.jobs)
-    _emit(res, args.out, "feasibility", cfg, args, args._t0)
-    return EXIT_OK
-
-
-def cmd_blockage_sweep(args) -> int:
-    cfg = _load_cfg(args)
-    res = blockage_sweep(cfg, parse_grid(args.qd_grid), jobs=args.jobs)
-    _emit(res, args.out, "blockage-sweep", cfg, args, args._t0)
-    return EXIT_OK
-
-
-def cmd_misalignment_sweep(args) -> int:
-    cfg = _load_cfg(args)
-    res = misalignment_sweep(cfg, parse_grid(args.sigma_grid), jobs=args.jobs)
-    _emit(res, args.out, "misalignment-sweep", cfg, args, args._t0)
+    _emit(sweep(cfg, parse_grid(getattr(args, grid_dest)), jobs=args.jobs), args, cfg)
     return EXIT_OK
 
 
 def cmd_strict_hc(args) -> int:
+    _require_at_least("--jobs", args.jobs, 1)
     cfg = _load_cfg(args)
     res = strict_hc_sweep(
         cfg,
@@ -190,7 +177,7 @@ def cmd_strict_hc(args) -> int:
         target=args.target,
         jobs=args.jobs,
     )
-    _emit(res, args.out, "strict-hc", cfg, args, args._t0)
+    _emit(res, args, cfg)
     unreachable = (r["sigma_m"] for r in res.records if not r["feasible"])
     bad = ", ".join(dict.fromkeys(map(repr, unreachable)))
     if bad:
@@ -199,19 +186,14 @@ def cmd_strict_hc(args) -> int:
     return EXIT_INFEASIBLE if bad else EXIT_OK
 
 
-def _require_at_least(flag: str, value: int, least: int) -> None:
-    if value < least:
-        raise ConfigError(f"{flag} must be >= {least}, got {value}")
-
-
 def cmd_queue_sim(args) -> int:
     _require_at_least("--slots", args.slots, MIN_DIAGNOSTIC_SLOTS)
     _require_at_least("--reps", args.reps, 1)
+    _require_at_least("--jobs", args.jobs, 1)
     cfg = _load_cfg(args)
     grid = parse_grid(args.alpha_grid)
     schemes = ["mcsc", "time_sharing"] if args.scheme == "both" else [args.scheme]
     records = []
-    res = None
     for scheme in schemes:
         res = delay_sweep(
             cfg,
@@ -223,12 +205,12 @@ def cmd_queue_sim(args) -> int:
             jobs=args.jobs,
         )
         records.extend(res.records)
-    res.records = records
-    _emit(res, args.out, "queue-sim", cfg, args, args._t0)
+    _emit(SweepResult(records), args, cfg)
     return EXIT_OK
 
 
 def cmd_oracle_check(args) -> int:
+    _require_at_least("--n", args.n, 1)
     cfg = _load_cfg(args)
     rng = np.random.default_rng(args.seed)
     failures = 0
@@ -271,56 +253,61 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, grids=()):
+    def command(name, func, hlp, out=True, jobs=True, grid=None):
+        """A subcommand taking ``--config``, optionally ``--out``, ``--jobs``
+        and one ``start:step:end`` grid ``(flag, default, parameter)``."""
+        p = sub.add_parser(name, help=hlp)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--out", help="output CSV path (manifest written alongside)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=_usable_cores())
-        p.add_argument("--trace", action="store_true",
-                       help="emit per-iteration solver diagnostics on stderr")
-        for name, default, hlp in grids:
-            p.add_argument(name, default=default, help=hlp)
+        if out:
+            p.add_argument("--out", help="output path (manifest written alongside)")
+        if jobs:
+            p.add_argument("--jobs", type=int, default=_usable_cores(),
+                           help="worker processes")
+        if grid:
+            flag, default, param = grid
+            p.add_argument(flag, default=default, help=f"{param} grid start:step:end")
+        return p
 
-    p = sub.add_parser("config", help="show resolved or default configuration")
-    common(p)
+    p = command("config", cmd_config, "show resolved or default configuration",
+                out=False, jobs=False)
     p.add_argument("--show-defaults", action="store_true")
-    p.set_defaults(func=cmd_config)
 
-    p = sub.add_parser("solve", help="solve the power allocation at one alpha")
-    common(p)
+    p = command("solve", cmd_solve, "solve the power allocation at one alpha", jobs=False)
+    p.add_argument("--trace", action="store_true",
+                   help="emit per-iteration solver diagnostics on stderr")
     p.add_argument("--alpha", type=float)
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("feasibility", help="max arrival rate over the alpha grid")
-    common(p, [("--alpha-grid", "0:0.05:1", "alpha grid start:step:end")])
-    p.set_defaults(func=cmd_feasibility)
+    # the sweep functions are looked up here, on every call, not bound at
+    # import: a caller may have replaced the module attributes since
+    for name, sweep, hlp, grid in (
+        ("feasibility", feasibility_region, "max arrival rate over the alpha grid",
+         ("--alpha-grid", "0:0.05:1", "alpha")),
+        ("blockage-sweep", blockage_sweep, "throughput vs direct blockage",
+         ("--qd-grid", "0:0.1:0.5", "q_d")),
+        ("misalignment-sweep", misalignment_sweep, "throughput vs pointing error",
+         ("--sigma-grid", "0.02:0.04:0.3", "sigma_m")),
+    ):
+        grid_dest = grid[0][2:].replace("-", "_")
+        command(name, partial(cmd_sweep, sweep, grid_dest), hlp, grid=grid)
 
-    p = sub.add_parser("blockage-sweep", help="throughput vs direct blockage")
-    common(p, [("--qd-grid", "0:0.1:0.5", "q_d grid start:step:end")])
-    p.set_defaults(func=cmd_blockage_sweep)
-
-    p = sub.add_parser("misalignment-sweep", help="throughput vs pointing error")
-    common(p, [("--sigma-grid", "0.02:0.04:0.3", "sigma_m grid start:step:end")])
-    p.set_defaults(func=cmd_misalignment_sweep)
-
-    p = sub.add_parser("strict-hc", help="beamwidth-adapted strict-HC comparison")
-    common(p, [("--sigma-grid", "0.04:0.05:0.14", "sigma_m grid start:step:end")])
+    p = command("strict-hc", cmd_strict_hc, "beamwidth-adapted strict-HC comparison",
+                grid=("--sigma-grid", "0.04:0.05:0.14", "sigma_m"))
     p.add_argument("--alpha-min", type=float, default=0.3)
     p.add_argument("--target", type=float, default=0.05)
-    p.set_defaults(func=cmd_strict_hc)
 
-    p = sub.add_parser("queue-sim", help="queueing delay/peak sweep")
-    common(p, [("--alpha-grid", "0:0.05:1", "alpha grid start:step:end")])
+    p = command("queue-sim", cmd_queue_sim, "queueing delay/peak sweep",
+                grid=("--alpha-grid", "0:0.05:1", "alpha"))
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scheme", choices=["mcsc", "time_sharing", "both"],
                    default="mcsc")
     p.add_argument("--slots", type=int, default=20000)
     p.add_argument("--reps", type=int, default=1)
-    p.set_defaults(func=cmd_queue_sim)
 
-    p = sub.add_parser("oracle-check", help="verify SCA against the exact solver")
-    common(p)
+    p = command("oracle-check", cmd_oracle_check, "verify SCA against the exact solver",
+                out=False, jobs=False)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=50)
-    p.set_defaults(func=cmd_oracle_check)
 
     return parser
 

@@ -17,16 +17,17 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 
 import numpy as np
 
-from . import __version__
 from .channel import channel_gains, collection_fraction, derive_link_budget, ris_gain
-from .config import SystemConfig
+from .config import ConfigError, SystemConfig
 from .mcsc import outage_probs
 from .optimizer import (
     _golden_max,
@@ -85,39 +86,25 @@ class TimeSharingPoint:
 
 @dataclass
 class SweepResult:
-    param: str
-    grid: list
     records: list[dict]
-    metadata: dict
 
-    def write_csv(self, path: str) -> None:
+    def write_csv(self, path: str | None = None) -> None:
+        """Write the records as RFC-4180 CSV to ``path``, or to stdout
+        without one.  ``csv`` writes floats in repr form, the shortest
+        string that round-trips."""
         if not self.records:
             raise ValueError("empty sweep result")
-        cols = list(self.records[0].keys())
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        cols = list(self.records[0])
+        dest = open(path, "w", newline="", encoding="utf-8") if path else nullcontext(sys.stdout)
+        with dest as fh:
             w = csv.writer(fh)
             w.writerow(cols)
-            for rec in self.records:
-                w.writerow([_fmt(rec[c]) for c in cols])
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    return v
+            w.writerows([rec[c] for c in cols] for rec in self.records)
 
 
 def config_hash(cfg: SystemConfig) -> str:
     blob = repr(sorted(cfg.as_dict().items())).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def sweep_metadata(cfg: SystemConfig, seed=None, **extra) -> dict:
-    md = {"config_hash": config_hash(cfg), "version": __version__}
-    if seed is not None:
-        md["seed"] = seed
-    md.update(extra)
-    return md
 
 
 def _pmap(fn, items, jobs: int):
@@ -158,12 +145,7 @@ def feasibility_region(
     """Maximum stabilizable arrival rate (as throughput) over the HC fraction."""
     grid = [float(a) for a in alpha_grid]
     points = _pmap(partial(operating_point, cfg), grid, jobs)
-    return SweepResult(
-        param="alpha",
-        grid=grid,
-        records=[asdict(pt) for pt in points],
-        metadata=sweep_metadata(cfg),
-    )
+    return SweepResult([asdict(pt) for pt in points])
 
 
 def argmax_unimodal(fn, lo: float, hi: float, tol: float, n_prescan: int = 21,
@@ -292,12 +274,7 @@ def blockage_sweep(cfg: SystemConfig, q_d_grid, jobs: int = 1) -> SweepResult:
     alpha in {0, alpha_T*(q_d), 1} (tradeoff point recomputed per grid point)."""
     grid = [float(q) for q in q_d_grid]
     nested = _pmap(partial(_blockage_point, cfg), grid, jobs)
-    return SweepResult(
-        param="q_d",
-        grid=grid,
-        records=[r for recs in nested for r in recs],
-        metadata=sweep_metadata(cfg),
-    )
+    return SweepResult([r for recs in nested for r in recs])
 
 
 def _misalignment_point(cfg: SystemConfig, sigma_m: float) -> list[dict]:
@@ -310,12 +287,7 @@ def misalignment_sweep(cfg: SystemConfig, sigma_grid, jobs: int = 1) -> SweepRes
     sigma_md = sigma_m and sigma_mr = 2 sigma_m."""
     grid = [float(s) for s in sigma_grid]
     nested = _pmap(partial(_misalignment_point, cfg), grid, jobs)
-    return SweepResult(
-        param="sigma_m",
-        grid=grid,
-        records=[r for recs in nested for r in recs],
-        metadata=sweep_metadata(cfg),
-    )
+    return SweepResult([r for recs in nested for r in recs])
 
 
 def _log_w_eq_of_w_r(a_U: float, w_r: float) -> float:
@@ -449,16 +421,16 @@ def strict_hc_sweep(
     """Strict-HC scenario: hold P_out_h at ``target`` by beamwidth
     adaptation and compare time sharing at alpha_min, MC-SC at
     max(alpha_min, alpha_sum*), and MC-SC at alpha = 1.  A sigma_m where
-    no beam meets the target gives records with ``feasible`` = 0 and NaNs."""
+    no beam meets the target gives records with ``feasible`` = 0 and NaNs.
+    Raises ``ConfigError`` unless 0 < target <= 1 and 0 <= alpha_min <= 1."""
+    if not 0.0 < target <= 1.0:
+        raise ConfigError(f"target must lie in (0, 1], got {target!r}")
+    if not 0.0 <= alpha_min <= 1.0:
+        raise ConfigError(f"alpha_min must lie in [0, 1], got {alpha_min!r}")
     grid = [float(s) for s in sigma_grid]
     fn = partial(_strict_hc_point, cfg, alpha_min, target)
     nested = _pmap(fn, grid, jobs)
-    return SweepResult(
-        param="sigma_m",
-        grid=grid,
-        records=[r for recs in nested for r in recs],
-        metadata=sweep_metadata(cfg, alpha_min=alpha_min, target=target),
-    )
+    return SweepResult([r for recs in nested for r in recs])
 
 
 # strict-HC CSV columns, the same whether or not a point is reachable
@@ -564,12 +536,4 @@ def delay_sweep(
     configured arrival rate, for either transmission scheme."""
     grid = [float(a) for a in alpha_grid]
     fn = partial(_delay_point, cfg, scheme, n_slots, n_reps, master_seed)
-    records = _pmap(fn, list(enumerate(grid)), jobs)
-    return SweepResult(
-        param="alpha",
-        grid=grid,
-        records=records,
-        metadata=sweep_metadata(
-            cfg, seed=master_seed, scheme=scheme, n_slots=n_slots, n_reps=n_reps
-        ),
-    )
+    return SweepResult(_pmap(fn, list(enumerate(grid)), jobs))

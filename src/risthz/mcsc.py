@@ -38,8 +38,6 @@ class PowerAllocation:
 class RateTargets:
     R_h: float  # HC target rate [bit/s]
     R_l: float  # LC target rate [bit/s]
-    gamma_h: float | None = None  # optional SINR lower bound backing R_h
-    gamma_l: float | None = None
 
 
 @dataclass(frozen=True)

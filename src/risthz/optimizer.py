@@ -303,10 +303,7 @@ def solve_subproblem(
     p = PowerAllocation(y_best, P - x_best - y_best, x_best)
 
     R = RateTargets(
-        R_h=hc_service_rate(p, cfg, budget),
-        R_l=lc_service_rate(p, cfg, budget),
-        gamma_h=surrogate_gamma_h(p, mu, g),
-        gamma_l=surrogate_gamma_l(p, mu, g),
+        R_h=hc_service_rate(p, cfg, budget), R_l=lc_service_rate(p, cfg, budget)
     )
     d = stability_gaps(R, cfg, outage)
     return SolveResult(

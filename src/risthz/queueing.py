@@ -20,7 +20,6 @@ evaluates a whole trace with array operations and no slot loop.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -61,37 +60,6 @@ class QueueTrace:
     peak_q_l_norm: float = math.nan
     outage_rate_h: float = math.nan  # empirical 1 - mean(xi)
     outage_rate_l: float = math.nan
-
-    def summary_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "a_bar": self.a_bar,
-            "n_slots": int(len(self.q_h)),
-            "mean_q_h": self.mean_q_h,
-            "mean_q_l": self.mean_q_l,
-            "tau_h": self.tau_h,
-            "tau_l": self.tau_l,
-            "peak_q_h_norm": self.peak_q_h_norm,
-            "peak_q_l_norm": self.peak_q_l_norm,
-            "outage_rate_h": self.outage_rate_h,
-            "outage_rate_l": self.outage_rate_l,
-        }
-
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["slot", "arrivals", "q_h", "q_l", "xi_h", "xi_l"])
-            for t in range(len(self.q_h)):
-                w.writerow(
-                    [
-                        t,
-                        repr(float(self.arrivals[t])),
-                        repr(float(self.q_h[t])),
-                        repr(float(self.q_l[t])),
-                        int(self.xi_h[t]),
-                        int(self.xi_l[t]),
-                    ]
-                )
 
 
 def _lindley(service: np.ndarray, arrivals: np.ndarray) -> np.ndarray:

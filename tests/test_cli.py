@@ -1,6 +1,7 @@
 """Command-line interface tests: subcommands, exit codes, config
 handling, manifests, and byte-identical reruns."""
 
+import argparse
 import csv
 import json
 import os
@@ -178,6 +179,9 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("argv", [
         "solve --bogus", "queue-sim --scheme nope", "feasibility --jobs x",
+        # options a subcommand does not read are not accepted
+        "feasibility --seed 3", "queue-sim --trace", "oracle-check --out x",
+        "config --jobs 2",
     ])
     def test_usage_error_exit_code(self, argv):
         proc = run_cli(*argv.split())
@@ -190,7 +194,14 @@ class TestArgumentBounds:
         ("queue-sim --alpha-grid 0.5:1:0.5 --reps 0", "--reps must be >= 1, got 0"),
         ("queue-sim --alpha-grid 0.5:1:0.5 --slots 50", "--slots must be >= 100, got 50"),
         ("queue-sim --alpha-grid 0.5:1:0.5 --slots 0", "--slots must be >= 100, got 0"),
-    ], ids=["reps-0", "slots-50", "slots-0"])
+        ("queue-sim --alpha-grid 0.5:1:0.5 --jobs -1", "--jobs must be >= 1, got -1"),
+        ("feasibility --jobs 0", "--jobs must be >= 1, got 0"),
+        ("strict-hc --jobs 0", "--jobs must be >= 1, got 0"),
+        ("oracle-check --n 0", "--n must be >= 1, got 0"),
+        ("strict-hc --target 0", "target must lie in (0, 1], got 0.0"),
+        ("strict-hc --alpha-min -0.5", "alpha_min must lie in [0, 1], got -0.5"),
+    ], ids=["reps-0", "slots-50", "slots-0", "queue-jobs--1", "feasibility-jobs-0",
+            "strict-jobs-0", "n-0", "target-0", "alpha-min-neg"])
     def test_out_of_range_is_config_error(self, capsys, argv, message):
         assert main(argv.split()) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
@@ -203,16 +214,65 @@ class TestArgumentBounds:
         assert build_parser().parse_args(["feasibility"]).jobs == 64
 
 
+class TestOptions:
+    # every option each subcommand accepts; each one is read by its handler
+    TABLE = {
+        "config": {"--config", "--show-defaults"},
+        "solve": {"--config", "--out", "--trace", "--alpha"},
+        "feasibility": {"--config", "--out", "--jobs", "--alpha-grid"},
+        "blockage-sweep": {"--config", "--out", "--jobs", "--qd-grid"},
+        "misalignment-sweep": {"--config", "--out", "--jobs", "--sigma-grid"},
+        "strict-hc": {"--config", "--out", "--jobs", "--sigma-grid", "--alpha-min",
+                      "--target"},
+        "queue-sim": {"--config", "--out", "--seed", "--jobs", "--alpha-grid", "--scheme",
+                      "--slots", "--reps"},
+        "oracle-check": {"--config", "--seed", "--n"},
+    }
+
+    def test_option_table(self):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        got = {
+            name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        assert got == self.TABLE
+
+    @pytest.mark.parametrize("argv", [
+        "blockage-sweep --qd-grid 0:0.5:0.5",
+        "queue-sim --alpha-grid 0.2:0.2:0.4 --slots 500 --reps 2 --seed 4",
+    ], ids=["blockage-sweep", "queue-sim"])
+    def test_stdout_csv_equals_out_csv(self, tmp_path, capsysbinary, argv):
+        argv = argv.split() + ["--jobs", "1"]
+        assert main(argv) == EXIT_OK
+        stdout = capsysbinary.readouterr().out
+        out = tmp_path / "o.csv"
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        assert stdout == out.read_bytes()
+
+
+def assert_rerun_identical(tmp_path, argv, rc_want=EXIT_OK):
+    """Run ``argv`` with ``--out``, replay its manifest, and compare the
+    two outputs byte for byte."""
+    out_a, out_b = tmp_path / "a.out", tmp_path / "b.out"
+    assert main(argv + ["--out", str(out_a)]) == rc_want
+    assert run_from_manifest(str(out_a) + ".manifest.json", str(out_b)) == rc_want
+    assert out_a.read_bytes() == out_b.read_bytes()
+
+
 class TestManifests:
     def test_rerun_byte_identical_deterministic(self, tmp_path):
-        out_a = tmp_path / "a.csv"
-        rc = main(["blockage-sweep", "--qd-grid", "0:0.5:0.5", "--jobs", "1",
-                   "--out", str(out_a)])
-        assert rc == EXIT_OK
-        out_b = tmp_path / "b.csv"
-        rc = run_from_manifest(str(out_a) + ".manifest.json", str(out_b))
-        assert rc == EXIT_OK
-        assert out_a.read_bytes() == out_b.read_bytes()
+        assert_rerun_identical(
+            tmp_path, ["blockage-sweep", "--qd-grid", "0:0.5:0.5", "--jobs", "1"])
+
+    @pytest.mark.parametrize("argv, rc_want", [
+        ("misalignment-sweep --sigma-grid 0.1:0.1:0.2 --jobs 1", EXIT_OK),
+        ("strict-hc --jobs 1", EXIT_OK),
+        ("strict-hc --sigma-grid 0.14:0.05:0.24 --jobs 1", EXIT_INFEASIBLE),
+        ("solve --alpha 0.37", EXIT_OK),
+    ], ids=["misalignment-sweep", "strict-hc", "strict-hc-infeasible", "solve"])
+    def test_rerun_byte_identical_other_subcommands(self, tmp_path, argv, rc_want):
+        assert_rerun_identical(tmp_path, argv.split(), rc_want)
 
     def test_rerun_byte_identical_stochastic(self, tmp_path):
         out_a = tmp_path / "q.csv"

@@ -159,15 +159,6 @@ class TestSimulate:
         tol = 4 * math.sqrt(p_hat * (1 - p_hat) / 100_000)
         assert abs(observed - p_hat) < tol
 
-    def test_trace_csv_header(self, cfg, budget, tmp_path):
-        res = sca_solve(cfg, budget)
-        trace = simulate(cfg, budget, res, 50, seed=1)
-        out = tmp_path / "trace.csv"
-        trace.write_csv(str(out))
-        lines = out.read_text().splitlines()
-        assert lines[0] == "slot,arrivals,q_h,q_l,xi_h,xi_l"
-        assert len(lines) == 51
-
 
 class TestStabilityDiagnostic:
     def test_stable_at_feasible_point(self, cfg, budget):

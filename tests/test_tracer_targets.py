@@ -1,28 +1,39 @@
-"""The benchmark's span tracer (``perfbench/tracer.py``) patches
-``risthz`` functions by name and reads fields of what they return; a
-renamed or deleted target breaks every traced benchmark run.  These
-tests hold the program to the names the tracer uses."""
+"""The benchmark (``perfbench/``) calls ``risthz`` by name: its span
+tracer patches functions and reads fields of what they return, and its
+workloads call the library and the CLI with fixed arguments.  A renamed
+or deleted target, parameter or option breaks every benchmark run.
+These tests hold the program to the names the benchmark uses."""
 
 import dataclasses
 import importlib
 import inspect
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracer():
-    """Run the tracer's source as a fresh module (no import machinery, so
-    no bytecode cache is written beside it)."""
-    module = types.ModuleType("perfbench_tracer")
-    exec(compile(TRACER_PATH.read_text(), str(TRACER_PATH), "exec"), module.__dict__)
+def load_perfbench(name):
+    """Run ``perfbench/<name>.py``'s source as a fresh module.  Its sibling
+    imports resolve from ``perfbench/``, and no bytecode cache is written
+    there."""
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    saved = sys.dont_write_bytecode
+    sys.path.insert(0, str(PERFBENCH))
+    sys.dont_write_bytecode = True
+    try:
+        exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        sys.dont_write_bytecode = saved
     return module
 
 
-tracer = load_tracer()
+tracer = load_perfbench("tracer")
 
 
 @pytest.mark.parametrize("module, attr", [t[:2] for t in tracer.FUNCTION_TARGETS],
@@ -52,3 +63,41 @@ def test_counted_result_fields_exist():
     solve_fields = {f.name for f in dataclasses.fields(SolveResult)}
     assert {"iterations", "objective_trace", "converged"} <= solve_fields
     assert "q_h" in {f.name for f in dataclasses.fields(QueueTrace)}
+
+
+# (module, function, positional arguments, keyword arguments) of each
+# call ``perfbench/workloads.py`` makes into the program
+WORKLOAD_CALLS = [
+    ("risthz.experiments", "feasibility_region", ("cfg", [0.5]), {"jobs": 1}),
+    ("risthz.experiments", "alpha_sum_star", ("cfg",), {}),
+    ("risthz.experiments", "alpha_tradeoff_star", ("cfg",), {"alpha_sum": 0.5}),
+    ("risthz.experiments", "adapt_beamwidth", ("cfg", 0.05), {}),
+    ("risthz.experiments", "operating_point", ("cfg", 0.5), {}),
+    ("risthz.experiments", "delay_sweep", ("cfg", [0.5], "mcsc"),
+     {"n_slots": 2000, "n_reps": 4, "master_seed": 7, "jobs": 1}),
+    ("risthz.optimizer", "random_config", ("rng",), {}),
+    ("risthz.cli", "run_from_manifest", ("run.csv.manifest.json", "rerun.csv"), {}),
+]
+
+
+@pytest.mark.parametrize("module, attr, args, kwargs", WORKLOAD_CALLS,
+                         ids=[t[1] for t in WORKLOAD_CALLS])
+def test_workload_call_binds(module, attr, args, kwargs):
+    inspect.signature(getattr(importlib.import_module(module), attr)).bind(*args, **kwargs)
+
+
+def test_cli_workload_argvs_parse(tmp_path):
+    from risthz.cli import build_parser
+
+    workload = load_perfbench("workloads").Cli(0, {}, workdir=tmp_path, src=tmp_path)
+    argvs = [argv for label, argv in workload._argvs(tmp_path)
+             if not label.startswith("replay.")]
+    assert len(argvs) == 4
+    for argv in argvs:
+        build_parser().parse_args(argv)
+
+
+def test_sweep_result_has_records():
+    from risthz.experiments import SweepResult
+
+    assert "records" in {f.name for f in dataclasses.fields(SweepResult)}
