@@ -54,18 +54,27 @@ def _usable_cores() -> int:
 
 
 def parse_grid(spec: str) -> list[float]:
-    """Parse a ``start:step:end`` grid specification (end inclusive)."""
+    """Parse a ``start:step:end`` grid specification (end inclusive).
+
+    Point i is the float nearest the exact decimal start + i step of the
+    spec text, so ``0:0.1:1`` holds 0.3, not 0.1 + 0.1 + 0.1 rounded.
+    """
+    parts = spec.split(":")
     try:
-        start, step_, end = (float(x) for x in spec.split(":"))
+        start, step_, end = (float(x) for x in parts)
     except ValueError as exc:
         raise ConfigError(f"bad grid spec {spec!r}, expected start:step:end") from exc
-    if step_ <= 0 or end < start:
+    if not all(map(math.isfinite, (start, step_, end))):
+        raise ConfigError(f"bad grid spec {spec!r}: start, step and end must be finite")
+    # imported here: decimal costs ~2 ms, and only grid options need it
+    from decimal import Decimal
+    from fractions import Fraction
+
+    x0, dx, x1 = (Fraction(Decimal(x)) for x in parts)
+    # the float step: a positive step that rounds to 0 would never reach end
+    if step_ <= 0 or x1 < x0:
         raise ConfigError(f"bad grid spec {spec!r}: need step > 0 and end >= start")
-    n = int(round((end - start) / step_))
-    grid = [start + i * step_ for i in range(n + 1)]
-    if grid[-1] > end + 1e-12 * max(1.0, abs(end)):
-        grid.pop()
-    return grid
+    return [float(x0 + i * dx) for i in range((x1 - x0) // dx + 1)]
 
 
 def _load_cfg(args) -> SystemConfig:

@@ -100,15 +100,15 @@ _DB_KEYS = {
 }
 
 
-def parse_config_text(text: str, base: SystemConfig | None = None) -> SystemConfig:
-    """Parse a flat ``key = value`` document, overriding ``base`` field-wise.
+def parse_config_text(text: str) -> SystemConfig:
+    """Parse a flat ``key = value`` document, overriding the defaults
+    field-wise.
 
     Lines starting with ``#`` (or inline ``#`` comments) are ignored.
     Unknown keys raise :class:`ConfigError` listing every offender.  A
     value that does not parse, or a field set twice (by a repeated key, or
     in both linear and dB form), raises it naming the line.
     """
-    base = base if base is not None else SystemConfig()
     overrides: dict = {}
     set_by: dict[str, str] = {}
     unknown = []
@@ -147,10 +147,10 @@ def parse_config_text(text: str, base: SystemConfig | None = None) -> SystemConf
         set_by[field] = key
     if unknown:
         raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
-    return base.with_(**overrides)
+    return SystemConfig().with_(**overrides)
 
 
-def load_config(path: str, base: SystemConfig | None = None) -> SystemConfig:
+def load_config(path: str) -> SystemConfig:
     """Parse the config file at ``path``; a file that cannot be opened or
     is not UTF-8 raises :class:`ConfigError` naming the path."""
     try:
@@ -162,7 +162,7 @@ def load_config(path: str, base: SystemConfig | None = None) -> SystemConfig:
         raise ConfigError(
             f"{path} is not UTF-8 text (byte {exc.start}: {exc.reason})"
         ) from None
-    return parse_config_text(text, base=base)
+    return parse_config_text(text)
 
 
 def default_config_text() -> str:

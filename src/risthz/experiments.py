@@ -29,12 +29,7 @@ import numpy as np
 from .channel import channel_gains, collection_fraction, derive_link_budget, ris_gain
 from .config import ConfigError, SystemConfig
 from .mcsc import outage_probs
-from .optimizer import (
-    _golden_max,
-    sca_solve,
-    structural_solve,
-    threshold_gains,
-)
+from .optimizer import Frontier, _golden_max, sca_solve, threshold_gains
 from .queueing import (
     run_queues,
     sample_arrivals,
@@ -45,6 +40,9 @@ from .queueing import (
 
 W_R_MIN = 1e-4  # [m] bisection bracket for beamwidth inversion
 W_R_MAX = 10.0
+# minimum of log erf v - 3 log v + v^2, the root of
+# 2 e^{-v^2} / (sqrt(pi) erf v) = 3 / v - 2 v (see ``adapt_beamwidth``)
+V_STAR = 1.1420888018148148
 
 DEFAULT_N_SLOTS = 20000
 
@@ -182,53 +180,12 @@ def argmax_unimodal(fn, lo: float, hi: float, tol: float, n_prescan: int = 21,
     return float(x)
 
 
-def _frontier(cfg: SystemConfig, budget):
-    """The max-min frontier at A_bar = 0 as a curve in the LC power x.
-
-    The gaps are equal at the optimum (``structural_solve``), so the HC
-    fraction alpha(x) = S_h / (S_h + S_l) falls from 1 at x = 0 to 0 at
-    x = P, and A = S_h + S_l is the largest stabilizable arrival rate.
-    The served rates are S = k R with k = (1 - P_out) T / M and, for
-    c = c_d c_r and D = (c_d + c_r) sigma^2,
-    R_h = B log2((D + c P) / (D + c x)), R_l = B log2(1 + c_d x / sigma^2).
-
-    Returns ``rate(x, w_h=1, w_l=1)`` = w_h S_h + w_l S_l, ``alpha(x)``
-    (0 where nothing is served) and ``argmax(w_h, w_l, hi)``, the x in
-    [0, hi] maximizing ``rate``.  The derivative of ``rate`` has the sign
-    of a linear function of x with its root at
-    x* = sigma^2 (b / ((a - b) c_r) - 1 / c_d), a = w_h k_h, b = w_l k_l:
-    a maximum when a > b, negative otherwise.  So the argmax is x*
-    clipped to [0, hi] or an endpoint; ties go to the largest x.
-    """
-    out = outage_probs(cfg, budget)
-    g = threshold_gains(budget)
-    c_d, c_r, s2 = g.c_d, g.c_r, g.sigma_n2
-    c, D = c_d * c_r, (c_d + c_r) * s2
-    tm = cfg.T / cfg.M
-    k_h, k_l = (1.0 - out.P_out_h) * tm, (1.0 - out.P_out_l) * tm
-    B, P, log2 = cfg.B, cfg.P_max, math.log2
-
-    def rate(x: float, w_h: float = 1.0, w_l: float = 1.0) -> float:
-        return (w_h * k_h * (B * log2((D + c * P) / (D + c * x)))
-                + w_l * k_l * (B * log2(1.0 + c_d * x / s2)))
-
-    def alpha(x: float) -> float:
-        a = rate(x)
-        return rate(x, 1.0, 0.0) / a if a > 0.0 else 0.0
-
-    def argmax(w_h: float, w_l: float, hi: float) -> float:
-        a, b = w_h * k_h, w_l * k_l
-        x_star = s2 * (b / ((a - b) * c_r) - 1.0 / c_d) if a > b else 0.0
-        return max((hi, min(max(x_star, 0.0), hi), 0.0), key=lambda x: rate(x, w_h, w_l))
-
-    return rate, alpha, argmax
-
-
 def alpha_sum_star(cfg: SystemConfig) -> float:
     """HC fraction maximizing the total stabilizable throughput, in closed
-    form on the frontier (``_frontier``); 0 when nothing can be served."""
-    _, alpha, argmax = _frontier(cfg, derive_link_budget(cfg))
-    return alpha(argmax(1.0, 1.0, cfg.P_max))
+    form on the frontier (``optimizer.Frontier``); 0 when nothing can be
+    served."""
+    frontier = Frontier(cfg, derive_link_budget(cfg))
+    return frontier.alpha(frontier.argmax(1.0, 1.0, cfg.P_max))
 
 
 def alpha_tradeoff_star(cfg: SystemConfig, alpha_sum: float | None = None) -> float:
@@ -237,20 +194,21 @@ def alpha_tradeoff_star(cfg: SystemConfig, alpha_sum: float | None = None) -> fl
 
     On the frontier that is A(x) / A(x_sum) + S_h(x) / A(0) over
     x in [0, x_sum], solved like ``alpha_sum_star``.  A caller-given
-    ``alpha_sum`` maps to x_sum through one ``structural_solve``.  A term
+    ``alpha_sum`` maps to x_sum through ``Frontier.bracket``.  A term
     whose normalizer is 0 is dropped.
     """
-    budget = derive_link_budget(cfg)
-    rate, alpha, argmax = _frontier(cfg, budget)
+    frontier = Frontier(cfg, derive_link_budget(cfg))
+    rate, argmax = frontier.rate, frontier.argmax
     if alpha_sum is None:
         x_sum = argmax(1.0, 1.0, cfg.P_max)
     else:
-        x_sum = structural_solve(cfg.with_(alpha=alpha_sum, A_bar=0.0), budget).p.p_l_d
+        # alpha(lo) >= alpha_sum: [0, x_sum] stays within [alpha_sum, 1]
+        x_sum = frontier.bracket(alpha_sum)[0]
     u, v = (1.0 / a if a > 0.0 else 0.0 for a in (rate(x_sum), rate(0.0)))
     x_t = argmax(u + v, u, x_sum)
     if x_t == x_sum and alpha_sum is not None:
         return alpha_sum  # the bracket's end is the caller's alpha
-    return alpha(x_t)
+    return frontier.alpha(x_t)
 
 
 def _three_alpha_records(cfg: SystemConfig, label_value: tuple[str, float]) -> list[dict]:
@@ -315,12 +273,14 @@ def adapt_beamwidth(cfg: SystemConfig, target_P_out_h: float) -> tuple[float, fl
     probability, maps it to an equivalent beamwidth, and inverts the
     equivalent-width relation by bisection.  w_eq(w_r) is non-monotone:
     it diverges for beams much narrower than the receiving aperture and
-    grows like w_r for wide beams, with a minimum near w_r ~ a_U.  The
-    adaptation widens the beam (trading RIS gain for misalignment
-    robustness), so the inversion uses the increasing wide-beam branch,
-    whose monotonicity is checked numerically.  If the target can be
-    met by any beam, returns the narrowest (highest-gain) bracket beam
-    by convention.
+    grows like w_r for wide beams.  With v = a_U sqrt(pi/2) / w_r,
+    2 log w_eq = const + log erf v - 3 log v + v^2, which is convex in v
+    (its second derivative exceeds 2) with its minimum at ``V_STAR``.
+    The adaptation widens the beam (trading RIS gain for misalignment
+    robustness), so the inversion uses the increasing wide-beam branch
+    w_r >= a_U sqrt(pi/2) / V_STAR.  If the target can be met by any
+    beam, returns the narrowest (highest-gain) bracket beam by
+    convention.
     """
     if not 0.0 < target_P_out_h <= 1.0:
         raise ValueError("target_P_out_h must lie in (0, 1]")
@@ -339,19 +299,14 @@ def adapt_beamwidth(cfg: SystemConfig, target_P_out_h: float) -> tuple[float, fl
     gamma = math.sqrt(math.log2(1.0 / q_mr))
     log_target = math.log(2.0 * cfg.sigma_mr * gamma)
 
-    probes = np.geomspace(W_R_MIN, W_R_MAX, 200)
-    logs = [_log_w_eq_of_w_r(a_U, float(w)) for w in probes]
-    i_min = int(np.argmin(logs))
-    branch = logs[i_min:]
-    if not all(b > a for a, b in zip(branch, branch[1:])):
-        raise BeamAdaptationError("w_eq(w_r) not monotone on the wide-beam branch")
-    if not branch[0] <= log_target <= branch[-1]:
+    w_min = max(W_R_MIN, a_U * math.sqrt(math.pi / 2.0) / V_STAR)
+    log_lo, log_hi = (_log_w_eq_of_w_r(a_U, w) for w in (w_min, W_R_MAX))
+    if not log_lo <= log_target <= log_hi:
         raise BeamAdaptationError(
             f"required equivalent width {math.exp(log_target):.4g} m outside "
-            f"the invertible range [{math.exp(branch[0]):.4g}, "
-            f"{math.exp(branch[-1]):.4g}] m"
+            f"the invertible range [{math.exp(log_lo):.4g}, {math.exp(log_hi):.4g}] m"
         )
-    lo, hi = float(probes[i_min]), W_R_MAX
+    lo, hi = w_min, W_R_MAX
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if _log_w_eq_of_w_r(a_U, mid) < log_target:

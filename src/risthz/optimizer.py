@@ -16,10 +16,12 @@ inner solve uses nested golden-section search: for fixed multipliers the
 rate bounds are concave in the powers, hence the objective is concave
 and unimodal along every line.
 
-``structural_solve`` reaches the same optimum exactly by a 1-D bisection
-on the LC power (see its docstring).  It is the reference SCA is checked
-against, and its frontier gives the HC-fraction searches in closed form
-(``experiments``); brute-force grids check its premises in the tests.
+At the optimum the whole solution is one curve in the LC power,
+``Frontier`` (see its docstring).  ``structural_solve`` reaches the
+optimum exactly by bisection along it, and ``experiments`` reads the
+HC-fraction searches off it in closed form.  The tests check
+``structural_solve`` against SCA and the frontier's premises against
+brute-force grids.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from .config import SystemConfig
 from .mcsc import OutageProbs, PowerAllocation, RateTargets, outage_probs
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+SCA_TOL = 1e-6
+SCA_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -276,7 +280,6 @@ def solve_subproblem(
     cfg: SystemConfig,
     budget: LinkBudget,
     outage: OutageProbs | None = None,
-    tol: float | None = None,
 ) -> SolveResult:
     """Maximize the surrogate objective over the power simplex at fixed mu.
 
@@ -288,7 +291,7 @@ def solve_subproblem(
         outage = outage_probs(cfg, budget)
     g = threshold_gains(budget)
     P = cfg.P_max
-    tol = tol if tol is not None else 1e-8 * max(P, 1e-30)
+    tol = 1e-8 * max(P, 1e-30)
     at = surrogate_objective(mu, cfg, g, outage)
 
     def inner(x: float):
@@ -311,16 +314,10 @@ def solve_subproblem(
     )
 
 
-def sca_solve(
-    cfg: SystemConfig,
-    budget: LinkBudget,
-    init: PowerAllocation | None = None,
-    tol: float = 1e-6,
-    max_iter: int = 200,
-    trace_hook=None,
-) -> SolveResult:
-    """Alternate multiplier updates and subproblem solves until the true
-    objective stalls.
+def sca_solve(cfg: SystemConfig, budget: LinkBudget, trace_hook=None) -> SolveResult:
+    """Alternate multiplier updates and subproblem solves, from the equal
+    three-way power split, until the true objective stalls (a relative
+    change of at most ``SCA_TOL``) or ``SCA_MAX_ITER`` iterations pass.
 
     The surrogate minorizes the true objective and is tight at the
     expansion point, so every accepted step is an ascent step; iterates
@@ -331,14 +328,12 @@ def sca_solve(
     final objective, not as an error.
     """
     outage = outage_probs(cfg, budget)
-    p = init if init is not None else PowerAllocation(
-        cfg.P_max / 3.0, cfg.P_max / 3.0, cfg.P_max / 3.0
-    )
+    p = PowerAllocation(cfg.P_max / 3.0, cfg.P_max / 3.0, cfg.P_max / 3.0)
     obj = objective_value(p, cfg, budget, outage)
     trace = [obj]
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, SCA_MAX_ITER + 1):
         mu = update_mu(p, budget)
         sub = solve_subproblem(mu, cfg, budget, outage=outage)
         new_obj = objective_value(sub.p, cfg, budget, outage)
@@ -349,7 +344,7 @@ def sca_solve(
         trace.append(obj)
         if trace_hook is not None:
             trace_hook(it, obj, mu, p)
-        if abs(obj - prev) <= tol * (1.0 + abs(obj)):
+        if abs(obj - prev) <= SCA_TOL * (1.0 + abs(obj)):
             converged = True
             break
 
@@ -368,64 +363,104 @@ def sca_solve(
     )
 
 
-def structural_solve(cfg: SystemConfig, budget: LinkBudget) -> SolveResult:
-    """Exact max-min power allocation from the problem's structure.
+class Frontier:
+    """The max-min frontier at A_bar = 0 as a curve in the LC power x.
 
     With p_l_r = 0 and the power budget binding, two facts reduce the
-    problem to the LC power x = p_l_d:
+    problem to x = p_l_d:
 
     1. HC state (1,1) never binds: it has the signal of state (1,0) plus
        the RIS signal over the same interference + noise
        I = c_d x + sigma^2.  The best split of the HC power P - x
-       therefore equalizes states (1,0) and (0,1),
-       ``p_h_d = c_r (P - x) I / (c_d sigma^2 + c_r I)``, which gives
-       ``gamma_h(x) = c_d c_r (P - x) / (c_d sigma^2 + c_r I)``.
-    2. gamma_h, hence delta_h, falls in x while delta_l rises, so the
-       optimum is the root of delta_h = delta_l, found by bisection down
-       to adjacent floats, or a boundary: x = P at alpha = 0 and x = 0 at
-       alpha = 1, where the other gap is vacuous.
+       therefore equalizes states (1,0) and (0,1) (``split``).
+    2. The served rates S = k R, k = (1 - P_out) T / M, are then, for
+       c = c_d c_r and D = (c_d + c_r) sigma^2,
+       R_h = B log2((D + c P) / (D + c x)), falling in x, and
+       R_l = B log2(1 + c_d x / sigma^2), rising in x.
 
-    A_bar shifts both gaps alike and does not move the powers.  The
-    objective is min(stability_gaps) at the returned powers, as in
-    ``sca_solve``; ``iterations`` counts bisection steps.
+    At HC fraction alpha the gaps are equal at the optimum,
+    (1 - alpha) S_h = alpha S_l, so alpha(x) = S_h / (S_h + S_l) falls
+    from 1 at x = 0 to 0 at x = P, and A = S_h + S_l is the largest
+    stabilizable arrival rate.
     """
-    outage = outage_probs(cfg, budget)
-    g = threshold_gains(budget)
-    c_d, c_r, s2 = g.c_d, g.c_r, g.sigma_n2
-    B, P, log2 = cfg.B, cfg.P_max, math.log2
 
-    def split(x: float) -> PowerAllocation:
-        # both HC powers from the closed form: P - x - p_h_d would lose
-        # digits to cancellation when p_h_r is a small share of P - x
-        rem, itf = P - x, c_d * x + s2
+    def __init__(self, cfg: SystemConfig, budget: LinkBudget):
+        self.outage = out = outage_probs(cfg, budget)
+        g = threshold_gains(budget)
+        self.c_d, self.c_r, self.s2 = g.c_d, g.c_r, g.sigma_n2
+        self.c, self.D = g.c_d * g.c_r, (g.c_d + g.c_r) * g.sigma_n2
+        tm = cfg.T / cfg.M
+        self.k_h, self.k_l = (1.0 - out.P_out_h) * tm, (1.0 - out.P_out_l) * tm
+        self.B, self.P = cfg.B, cfg.P_max
+        self.top = self.D + self.c * self.P
+
+    def split(self, x: float) -> PowerAllocation:
+        """Powers at LC power x, ``p_h_d = c_r (P - x) I / (c_d sigma^2 + c_r I)``.
+        Both HC powers come from the closed form: P - x - p_h_d would lose
+        digits to cancellation when p_h_r is a small share of P - x."""
+        c_d, c_r, s2 = self.c_d, self.c_r, self.s2
+        rem, itf = self.P - x, c_d * x + s2
         den = c_d * s2 + c_r * itf
         return PowerAllocation(c_r * rem * itf / den, c_d * s2 * rem / den, x)
 
-    def gap_diff(x: float) -> float:
-        gam_h = c_d * c_r * (P - x) / (c_d * s2 + c_r * (c_d * x + s2))
-        R = RateTargets(B * log2(1.0 + gam_h), B * log2(1.0 + c_d * x / s2))
-        d_h, d_l = stability_gaps(R, cfg, outage)
-        return d_h - d_l
+    def rate(self, x: float, w_h: float = 1.0, w_l: float = 1.0) -> float:
+        """w_h S_h + w_l S_l at LC power x [packets/slot]."""
+        log2 = math.log2
+        return (w_h * self.k_h * (self.B * log2(self.top / (self.D + self.c * x)))
+                + w_l * self.k_l * (self.B * log2(1.0 + self.c_d * x / self.s2)))
 
-    it = 0
-    if cfg.alpha == 0.0:
-        p = split(P)
-    elif cfg.alpha == 1.0:
-        p = split(0.0)
-    else:
-        lo, hi = 0.0, P  # gap_diff(0) >= 0 >= gap_diff(P)
+    def alpha(self, x: float) -> float:
+        """HC fraction whose optimum lies at x (0 where nothing is served)."""
+        a = self.rate(x)
+        return self.rate(x, 1.0, 0.0) / a if a > 0.0 else 0.0
+
+    def argmax(self, w_h: float, w_l: float, hi: float) -> float:
+        """The x in [0, hi] maximizing ``rate(x, w_h, w_l)``.
+
+        The derivative of ``rate`` has the sign of a linear function of x
+        with its root at x* = sigma^2 (b / ((a - b) c_r) - 1 / c_d),
+        a = w_h k_h, b = w_l k_l: a maximum when a > b, negative
+        otherwise.  So the argmax is x* clipped to [0, hi] or an
+        endpoint; ties go to the largest x.
+        """
+        a, b = w_h * self.k_h, w_l * self.k_l
+        x_star = self.s2 * (b / ((a - b) * self.c_r) - 1.0 / self.c_d) if a > b else 0.0
+        return max((hi, min(max(x_star, 0.0), hi), 0.0), key=lambda x: self.rate(x, w_h, w_l))
+
+    def bracket(self, alpha: float) -> tuple[float, float, int]:
+        """``(lo, hi, steps)``: adjacent floats around the optimum at HC
+        fraction alpha, with (1 - alpha) S_h >= alpha S_l at lo and not at
+        hi, after ``steps`` bisection steps on [0, P].  (P, P, 0) at
+        alpha = 0 and (0, 0, 0) at alpha = 1, where the other gap is vacuous.
+        """
+        if alpha == 0.0:
+            return self.P, self.P, 0
+        if alpha == 1.0:
+            return 0.0, 0.0, 0
+        lo, hi, it = 0.0, self.P, 0  # holds at 0, where S_l = 0; fails at P, where S_h = 0
+        w_h, w_l = 1.0 - alpha, -alpha
         while True:
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
-                break
+                return lo, hi, it
             it += 1
-            if gap_diff(mid) >= 0.0:
+            if self.rate(mid, w_h, w_l) >= 0.0:
                 lo = mid
             else:
                 hi = mid
-        p = max(split(lo), split(hi),
-                key=lambda c: objective_value(c, cfg, budget, outage))
 
+
+def structural_solve(cfg: SystemConfig, budget: LinkBudget) -> SolveResult:
+    """Exact max-min power allocation: the better end, by objective, of
+    ``Frontier.bracket(cfg.alpha)``.  A_bar shifts both gaps alike and does
+    not move the powers.  The objective is min(stability_gaps) at the
+    returned powers, as in ``sca_solve``; ``iterations`` counts bisection
+    steps."""
+    frontier = Frontier(cfg, budget)
+    outage = frontier.outage
+    lo, hi, it = frontier.bracket(cfg.alpha)
+    p = max(frontier.split(lo), frontier.split(hi),
+            key=lambda c: objective_value(c, cfg, budget, outage))
     R = RateTargets(
         R_h=hc_service_rate(p, cfg, budget), R_l=lc_service_rate(p, cfg, budget)
     )

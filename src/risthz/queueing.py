@@ -30,7 +30,7 @@ from .config import SystemConfig
 from .mcsc import RateTargets, sinr
 from .optimizer import SolveResult
 
-DEFAULT_WARMUP_FRAC = 0.1
+WARMUP_FRAC = 0.1  # leading share of each trace left out of the means
 SLOPE_TOL_FACTOR = 1e-3  # unstable if fitted slope > 1e-3 * A_bar packets/slot^2
 MIN_DIAGNOSTIC_SLOTS = 100  # shortest trace given a stability verdict
 
@@ -69,9 +69,9 @@ def _lindley(service: np.ndarray, arrivals: np.ndarray) -> np.ndarray:
     return x - np.minimum(np.minimum.accumulate(x), 0.0) + arrivals
 
 
-def _summarize(trace: QueueTrace, warmup_frac: float) -> None:
+def _summarize(trace: QueueTrace) -> None:
     n = len(trace.q_h)
-    w = int(warmup_frac * n)
+    w = int(WARMUP_FRAC * n)
     a_split_h = trace.alpha * trace.arrivals[w:]
     a_split_l = (1.0 - trace.alpha) * trace.arrivals[w:]
     trace.mean_q_h = float(np.mean(trace.q_h[w:] - a_split_h))
@@ -132,7 +132,6 @@ def run_queues(
     service_l: np.ndarray,
     xi_h: np.ndarray,
     xi_l: np.ndarray,
-    warmup_frac: float = DEFAULT_WARMUP_FRAC,
 ) -> QueueTrace:
     """Drive both queue recursions and attach summary statistics."""
     q_h = _lindley(service_h, cfg.alpha * arrivals)
@@ -146,7 +145,7 @@ def run_queues(
         alpha=cfg.alpha,
         a_bar=cfg.A_bar,
     )
-    _summarize(trace, warmup_frac)
+    _summarize(trace)
     return trace
 
 
@@ -156,7 +155,6 @@ def simulate(
     solve: SolveResult,
     n_slots: int,
     seed,
-    warmup_frac: float = DEFAULT_WARMUP_FRAC,
 ) -> QueueTrace:
     """Simulate the MC-SC queueing system at the operating point of ``solve``.
 
@@ -174,7 +172,7 @@ def simulate(
     tm = cfg.T / cfg.M
     service_h = xi_h * tm * solve.R.R_h
     service_l = xi_l * tm * solve.R.R_l
-    return run_queues(cfg, arrivals, service_h, service_l, xi_h, xi_l, warmup_frac)
+    return run_queues(cfg, arrivals, service_h, service_l, xi_h, xi_l)
 
 
 def stability_diagnostic(trace: QueueTrace) -> dict[str, bool]:

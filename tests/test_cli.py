@@ -49,6 +49,17 @@ class TestParseGrid:
         with pytest.raises(ConfigError):
             parse_grid("nonsense")
 
+    def test_points_are_the_exact_decimals(self):
+        # start + i step in binary would give 0.30000000000000004 etc.
+        assert parse_grid("0:0.1:1") == [i / 10 for i in range(11)]
+        assert parse_grid("0.02:0.04:0.3") == [(2 + 4 * i) / 100 for i in range(8)]
+        assert parse_grid("0.14:0.05:0.24") == [0.14, 0.19, 0.24]
+
+    @pytest.mark.parametrize("spec", ["0:nan:1", "0:0.1:inf", "0:inf:1", "-inf:1:0", "1e400:1:2"])
+    def test_non_finite_is_config_error(self, spec):
+        with pytest.raises(ConfigError, match="must be finite"):
+            parse_grid(spec)
+
 
 class TestSubcommands:
     def test_solve_smoke(self):
@@ -73,6 +84,8 @@ class TestSubcommands:
         assert proc.returncode == EXIT_OK
         lines = out.read_text().splitlines()
         assert len(lines) == 22  # header + 21 grid points
+        alphas = [row["alpha"] for row in csv.DictReader(lines)]
+        assert alphas == [repr(i / 20) for i in range(21)]  # 0.15, not 0.15000000000000002
         assert (tmp_path / "region.csv.manifest.json").exists()
 
     def test_config_show_defaults_round_trip(self, tmp_path):
@@ -200,8 +213,15 @@ class TestArgumentBounds:
         ("oracle-check --n 0", "--n must be >= 1, got 0"),
         ("strict-hc --target 0", "target must lie in (0, 1], got 0.0"),
         ("strict-hc --alpha-min -0.5", "alpha_min must lie in [0, 1], got -0.5"),
+        ("feasibility --alpha-grid 0:nan:1",
+         "bad grid spec '0:nan:1': start, step and end must be finite"),
+        ("queue-sim --alpha-grid 0:0.1:inf",
+         "bad grid spec '0:0.1:inf': start, step and end must be finite"),
+        ("strict-hc --sigma-grid 0:inf:1",
+         "bad grid spec '0:inf:1': start, step and end must be finite"),
     ], ids=["reps-0", "slots-50", "slots-0", "queue-jobs--1", "feasibility-jobs-0",
-            "strict-jobs-0", "n-0", "target-0", "alpha-min-neg"])
+            "strict-jobs-0", "n-0", "target-0", "alpha-min-neg", "grid-nan-step",
+            "grid-inf-end", "grid-inf-step"])
     def test_out_of_range_is_config_error(self, capsys, argv, message):
         assert main(argv.split()) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"

@@ -16,6 +16,7 @@ from risthz.channel import LinkBudget, derive_link_budget
 from risthz.config import SystemConfig
 from risthz.mcsc import OutageProbs, PowerAllocation, RateTargets, outage_probs
 from risthz.optimizer import (
+    Frontier,
     SolveResult,
     ThresholdGains,
     _argmax,
@@ -455,6 +456,25 @@ class TestStructuralSolve:
         obj = structural_solve(c, b).objective
         for ref in (grid_oracle_3d(c, b, n_grid=60).objective, simplex_scan_best(c, b)):
             assert obj >= ref - 1e-12 * (1.0 + abs(ref))
+
+
+class TestFrontier:
+    @given(seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 1.0))
+    def test_served_rates_match_service_rates(self, seed, t):
+        # the closed-form R_h and R_l against the rate definitions at the
+        # frontier's own split of the power
+        c = random_config(np.random.default_rng(seed))
+        b = derive_link_budget(c)
+        frontier = Frontier(c, b)
+        x = t * c.P_max
+        p = frontier.split(x)
+        out = outage_probs(c, b)
+        k_h, k_l = ((1.0 - q) * c.T / c.M for q in (out.P_out_h, out.P_out_l))
+        s_h, s_l = k_h * hc_service_rate(p, c, b), k_l * lc_service_rate(p, c, b)
+        # relative to S + k B, not S: both forms lose digits in 1 + gamma
+        # when gamma is tiny (x near P for the HC rate)
+        assert abs(frontier.rate(x, 1.0, 0.0) - s_h) <= 1e-12 * (s_h + k_h * c.B)
+        assert abs(frontier.rate(x, 0.0, 1.0) - s_l) <= 1e-12 * (s_l + k_l * c.B)
 
 
 class TestGridOracle:
