@@ -27,6 +27,7 @@ from . import __version__
 from .channel import derive_link_budget
 from .config import ConfigError, SystemConfig, default_config_text, load_config
 from .experiments import (
+    DEFAULT_N_SLOTS,
     SweepResult,
     blockage_sweep,
     config_hash,
@@ -310,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scheme", choices=["mcsc", "time_sharing", "both"],
                    default="mcsc")
-    p.add_argument("--slots", type=int, default=20000)
+    p.add_argument("--slots", type=int, default=DEFAULT_N_SLOTS)
     p.add_argument("--reps", type=int, default=1)
 
     p = command("oracle-check", cmd_oracle_check, "verify SCA against the exact solver",

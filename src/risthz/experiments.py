@@ -6,9 +6,14 @@ tradeoff HC fractions, blockage and misalignment sweeps, beamwidth
 adaptation under an HC outage target, the time-sharing baseline, and
 queueing-delay sweeps.
 
-Sweep points are independent; with ``jobs > 1`` they are evaluated in a
-process pool and results are reassembled in grid order.  Simulation
-seeds derive from a master seed via
+The HC fractions and the time-sharing baseline are read off the max-min
+frontier (``optimizer.Frontier``); time sharing is the chord between its
+all-HC and all-LC ends.
+
+Every sweep driver runs one point function per grid value through
+``_sweep``, which returns each point's records in grid order.  Sweep
+points are independent; with ``jobs > 1`` they are evaluated in a
+process pool.  Simulation seeds derive from a master seed via
 ``numpy.random.SeedSequence([master_seed, point_index, replication])``.
 """
 
@@ -28,8 +33,8 @@ import numpy as np
 
 from .channel import channel_gains, collection_fraction, derive_link_budget, ris_gain
 from .config import ConfigError, SystemConfig
-from .mcsc import outage_probs
-from .optimizer import Frontier, _golden_max, sca_solve, threshold_gains
+from .mcsc import PowerAllocation, outage_probs
+from .optimizer import Frontier, _golden_max, hc_service_rate, lc_service_rate, sca_solve
 from .queueing import (
     run_queues,
     sample_arrivals,
@@ -105,12 +110,18 @@ def config_hash(cfg: SystemConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _pmap(fn, items, jobs: int):
-    """Order-preserving map, optionally over a process pool."""
+def _sweep(point, values, jobs: int) -> SweepResult:
+    """Records of ``point(i, v)`` over the grid ``values`` as floats, in
+    grid order; ``point`` returns a list of records for grid index i and
+    value v, and runs in a pool of ``jobs`` processes when ``jobs > 1``."""
+    grid = [float(v) for v in values]
+    args = (point, range(len(grid)), grid)
     if jobs <= 1:
-        return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+        nested = list(map(*args))
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            nested = list(pool.map(*args))
+    return SweepResult([rec for recs in nested for rec in recs])
 
 
 def operating_point(cfg: SystemConfig, alpha: float) -> OperatingPoint:
@@ -141,9 +152,11 @@ def feasibility_region(
     cfg: SystemConfig, alpha_grid, jobs: int = 1
 ) -> SweepResult:
     """Maximum stabilizable arrival rate (as throughput) over the HC fraction."""
-    grid = [float(a) for a in alpha_grid]
-    points = _pmap(partial(operating_point, cfg), grid, jobs)
-    return SweepResult([asdict(pt) for pt in points])
+    return _sweep(partial(_feasibility_point, cfg), alpha_grid, jobs)
+
+
+def _feasibility_point(cfg: SystemConfig, _index: int, alpha: float) -> list[dict]:
+    return [asdict(operating_point(cfg, alpha))]
 
 
 def argmax_unimodal(fn, lo: float, hi: float, tol: float, n_prescan: int = 21,
@@ -211,41 +224,31 @@ def alpha_tradeoff_star(cfg: SystemConfig, alpha_sum: float | None = None) -> fl
     return frontier.alpha(x_t)
 
 
-def _three_alpha_records(cfg: SystemConfig, label_value: tuple[str, float]) -> list[dict]:
-    """Operating points at alpha = 0, alpha_T*, 1 for one sweep setting."""
-    name, value = label_value
+def _at_sigma_m(cfg: SystemConfig, sigma_m: float) -> SystemConfig:
+    """The pointing-error scale of the misalignment and strict-HC sweeps:
+    sigma_md = sigma_m and sigma_mr = 2 sigma_m."""
+    return cfg.with_(sigma_md=sigma_m, sigma_mr=2.0 * sigma_m)
+
+
+def _three_alpha_records(cfg: SystemConfig, name: str, _index: int, value: float) -> list[dict]:
+    """Operating points at alpha = 0, alpha_T*, 1 with the sweep parameter
+    ``name`` (``q_d`` or ``sigma_m``) at ``value``."""
+    cfg = _at_sigma_m(cfg, value) if name == "sigma_m" else cfg.with_(**{name: value})
     a_t = alpha_tradeoff_star(cfg)
-    records = []
-    for label, alpha in (("0", 0.0), ("alpha_T", a_t), ("1", 1.0)):
-        rec = {name: value, "alpha_label": label}
-        rec.update(asdict(operating_point(cfg, alpha)))
-        records.append(rec)
-    return records
-
-
-def _blockage_point(cfg: SystemConfig, q_d: float) -> list[dict]:
-    return _three_alpha_records(cfg.with_(q_d=q_d), ("q_d", q_d))
+    return [{name: value, "alpha_label": label, **asdict(operating_point(cfg, alpha))}
+            for label, alpha in (("0", 0.0), ("alpha_T", a_t), ("1", 1.0))]
 
 
 def blockage_sweep(cfg: SystemConfig, q_d_grid, jobs: int = 1) -> SweepResult:
     """Throughput/outage versus direct-path blockage probability, at
     alpha in {0, alpha_T*(q_d), 1} (tradeoff point recomputed per grid point)."""
-    grid = [float(q) for q in q_d_grid]
-    nested = _pmap(partial(_blockage_point, cfg), grid, jobs)
-    return SweepResult([r for recs in nested for r in recs])
-
-
-def _misalignment_point(cfg: SystemConfig, sigma_m: float) -> list[dict]:
-    cfg_s = cfg.with_(sigma_md=sigma_m, sigma_mr=2.0 * sigma_m)
-    return _three_alpha_records(cfg_s, ("sigma_m", sigma_m))
+    return _sweep(partial(_three_alpha_records, cfg, "q_d"), q_d_grid, jobs)
 
 
 def misalignment_sweep(cfg: SystemConfig, sigma_grid, jobs: int = 1) -> SweepResult:
     """Throughput/outage versus pointing-error scale, with
     sigma_md = sigma_m and sigma_mr = 2 sigma_m."""
-    grid = [float(s) for s in sigma_grid]
-    nested = _pmap(partial(_misalignment_point, cfg), grid, jobs)
-    return SweepResult([r for recs in nested for r in recs])
+    return _sweep(partial(_three_alpha_records, cfg, "sigma_m"), sigma_grid, jobs)
 
 
 def _log_w_eq_of_w_r(a_U: float, w_r: float) -> float:
@@ -323,30 +326,26 @@ def time_sharing_point(cfg: SystemConfig, alpha: float) -> TimeSharingPoint:
     """Baseline: HC served in a fraction lam of each slot over both paths
     at full power, LC in the remainder over the direct path at full power.
 
-    The HC-phase split maximizes the worst-case HC rate over the
-    single-path blockage states at threshold fading; lam equalizes the
-    weighted service rates of the two classes (mirroring the max-min
-    objective).
+    The two phases are the ends of the MC-SC frontier
+    (``optimizer.Frontier``): the HC phase is its all-HC split at LC
+    power 0, the LC phase its all-LC point at LC power P_max, so time
+    sharing is the chord between them.  lam equalizes the weighted
+    service rates of the two classes (mirroring the max-min objective).
+    When neither phase serves anything, every lam gives A_max = 0, and
+    lam = alpha by convention.
     """
     budget = derive_link_budget(cfg)
-    g = threshold_gains(budget)
-    out = outage_probs(cfg, budget)
-    P = cfg.P_max
-
-    # the worst of states (1,0) and (0,1), min(c_d y, c_r (P - y)), peaks
-    # where the two are equal; (1,1) is their sum and never binds.  Both
-    # powers come from the closed form: P - y loses digits when y ~ P.
-    y = g.c_r * P / (g.c_d + g.c_r)
-    p_h_r = g.c_d * P / (g.c_d + g.c_r)
-    R_h = cfg.B * math.log2(1.0 + g.c_d * y / g.sigma_n2)
-    R_l = cfg.B * math.log2(1.0 + g.c_d * P / g.sigma_n2)
-    tm = cfg.T / cfg.M
-    s_h = (1.0 - out.P_out_h) * tm * R_h
-    s_l = (1.0 - out.P_out_l) * tm * R_l
+    frontier = Frontier(cfg, budget)
+    out, hc = frontier.outage, frontier.split(0.0)
+    R_h = hc_service_rate(hc, cfg, budget)
+    R_l = lc_service_rate(PowerAllocation(0.0, 0.0, cfg.P_max), cfg, budget)
+    s_h, s_l = frontier.k_h * R_h, frontier.k_l * R_l
     if alpha == 0.0:
         lam, a_max = 0.0, s_l
     elif alpha == 1.0:
         lam, a_max = 1.0, s_h
+    elif s_h == s_l == 0.0:
+        lam, a_max = alpha, 0.0
     else:
         lam = (s_l / (1.0 - alpha)) / (s_h / alpha + s_l / (1.0 - alpha))
         a_max = lam * s_h / alpha
@@ -361,8 +360,8 @@ def time_sharing_point(cfg: SystemConfig, alpha: float) -> TimeSharingPoint:
         R_l=R_l,
         P_out_h=out.P_out_h,
         P_out_l=out.P_out_l,
-        p_h_d=y,
-        p_h_r=p_h_r,
+        p_h_d=hc.p_h_d,
+        p_h_r=hc.p_h_r,
     )
 
 
@@ -382,10 +381,7 @@ def strict_hc_sweep(
         raise ConfigError(f"target must lie in (0, 1], got {target!r}")
     if not 0.0 <= alpha_min <= 1.0:
         raise ConfigError(f"alpha_min must lie in [0, 1], got {alpha_min!r}")
-    grid = [float(s) for s in sigma_grid]
-    fn = partial(_strict_hc_point, cfg, alpha_min, target)
-    nested = _pmap(fn, grid, jobs)
-    return SweepResult([r for recs in nested for r in recs])
+    return _sweep(partial(_strict_hc_point, cfg, alpha_min, target), sigma_grid, jobs)
 
 
 # strict-HC CSV columns, the same whether or not a point is reachable
@@ -394,9 +390,9 @@ _STRICT_COLUMNS = ("sigma_m", "strategy", "w_r",
 
 
 def _strict_hc_point(
-    cfg: SystemConfig, alpha_min: float, target: float, sigma_m: float
+    cfg: SystemConfig, alpha_min: float, target: float, _index: int, sigma_m: float
 ) -> list[dict]:
-    cfg_s = cfg.with_(sigma_md=sigma_m, sigma_mr=2.0 * sigma_m)
+    cfg_s = _at_sigma_m(cfg, sigma_m)
     cfg_ad = cfg_s  # a target at or above P_out_l holds for every beamwidth
     try:
         if target < outage_probs(cfg_s, derive_link_budget(cfg_s)).P_out_l:
@@ -443,24 +439,17 @@ def _delay_point(
     n_slots: int,
     n_reps: int,
     master_seed: int,
-    idx_alpha: tuple[int, float],
-) -> dict:
-    idx, alpha = idx_alpha
+    index: int,
+    alpha: float,
+) -> list[dict]:
     cfg_a = cfg.with_(alpha=alpha)
     budget = derive_link_budget(cfg_a)
     if scheme == "mcsc":
-        res = sca_solve(cfg_a, budget)
-    elif scheme == "time_sharing":
-        tsp = time_sharing_point(cfg_a, alpha)
+        run = partial(simulate, cfg_a, budget, sca_solve(cfg_a, budget))
     else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    traces = []
-    for rep in range(n_reps):
-        seed = np.random.SeedSequence([master_seed, idx, rep])
-        if scheme == "mcsc":
-            traces.append(simulate(cfg_a, budget, res, n_slots, seed))
-        else:
-            traces.append(simulate_time_sharing(cfg_a, budget, tsp, n_slots, seed))
+        run = partial(simulate_time_sharing, cfg_a, budget, time_sharing_point(cfg_a, alpha))
+    traces = [run(n_slots, np.random.SeedSequence([master_seed, index, rep]))
+              for rep in range(n_reps)]
     verdict = stability_diagnostic(traces[0])
     rec = {"scheme": scheme, "alpha": alpha}
     for key in (
@@ -475,7 +464,7 @@ def _delay_point(
         rec[key] = float(np.mean(vals))
     rec["stable_h"] = int(verdict["hc"])
     rec["stable_l"] = int(verdict["lc"])
-    return rec
+    return [rec]
 
 
 def delay_sweep(
@@ -488,7 +477,9 @@ def delay_sweep(
     jobs: int = 1,
 ) -> SweepResult:
     """Queueing delay and peak-queue metrics over the HC fraction at the
-    configured arrival rate, for either transmission scheme."""
-    grid = [float(a) for a in alpha_grid]
-    fn = partial(_delay_point, cfg, scheme, n_slots, n_reps, master_seed)
-    return SweepResult(_pmap(fn, list(enumerate(grid)), jobs))
+    configured arrival rate, for either transmission scheme (``mcsc`` or
+    ``time_sharing``; any other raises ``ValueError`` before a point runs)."""
+    if scheme not in ("mcsc", "time_sharing"):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    point = partial(_delay_point, cfg, scheme, n_slots, n_reps, master_seed)
+    return _sweep(point, alpha_grid, jobs)

@@ -19,9 +19,9 @@ and unimodal along every line.
 At the optimum the whole solution is one curve in the LC power,
 ``Frontier`` (see its docstring).  ``structural_solve`` reaches the
 optimum exactly by bisection along it, and ``experiments`` reads the
-HC-fraction searches off it in closed form.  The tests check
-``structural_solve`` against SCA and the frontier's premises against
-brute-force grids.
+HC-fraction searches and the time-sharing baseline off it in closed
+form.  The tests check ``structural_solve`` against SCA and the
+frontier's premises against brute-force grids.
 """
 
 from __future__ import annotations
@@ -133,15 +133,21 @@ def stability_gaps(
     return delta_h, delta_l
 
 
+def _evaluate(
+    p: PowerAllocation, cfg: SystemConfig, budget: LinkBudget, outage: OutageProbs
+) -> tuple[RateTargets, tuple[float, float]]:
+    """The robust rates at powers p and the stability gaps they give."""
+    R = RateTargets(
+        R_h=hc_service_rate(p, cfg, budget), R_l=lc_service_rate(p, cfg, budget)
+    )
+    return R, stability_gaps(R, cfg, outage)
+
+
 def objective_value(
     p: PowerAllocation, cfg: SystemConfig, budget: LinkBudget, outage: OutageProbs
 ) -> float:
     """True (untransformed) max-min objective at a power allocation."""
-    R = RateTargets(
-        R_h=hc_service_rate(p, cfg, budget), R_l=lc_service_rate(p, cfg, budget)
-    )
-    d_h, d_l = stability_gaps(R, cfg, outage)
-    return min(d_h, d_l)
+    return min(_evaluate(p, cfg, budget, outage)[1])
 
 
 def update_mu(p: PowerAllocation, budget: LinkBudget) -> QuadTransformState:
@@ -304,11 +310,7 @@ def solve_subproblem(
     x_best, _ = _golden_max(outer_obj, 0.0, P, tol)
     y_best, obj = inner(x_best)
     p = PowerAllocation(y_best, P - x_best - y_best, x_best)
-
-    R = RateTargets(
-        R_h=hc_service_rate(p, cfg, budget), R_l=lc_service_rate(p, cfg, budget)
-    )
-    d = stability_gaps(R, cfg, outage)
+    R, d = _evaluate(p, cfg, budget, outage)
     return SolveResult(
         p=p, R=R, delta=d, objective=obj, iterations=1, converged=True
     )
@@ -329,16 +331,18 @@ def sca_solve(cfg: SystemConfig, budget: LinkBudget, trace_hook=None) -> SolveRe
     """
     outage = outage_probs(cfg, budget)
     p = PowerAllocation(cfg.P_max / 3.0, cfg.P_max / 3.0, cfg.P_max / 3.0)
-    obj = objective_value(p, cfg, budget, outage)
+    R, d = _evaluate(p, cfg, budget, outage)
+    obj = min(d)
     trace = [obj]
     converged = False
     it = 0
     for it in range(1, SCA_MAX_ITER + 1):
         mu = update_mu(p, budget)
         sub = solve_subproblem(mu, cfg, budget, outage=outage)
-        new_obj = objective_value(sub.p, cfg, budget, outage)
+        R_new, d_new = _evaluate(sub.p, cfg, budget, outage)
+        new_obj = min(d_new)
         if new_obj >= obj:
-            p, prev, obj = sub.p, obj, new_obj
+            p, R, d, prev, obj = sub.p, R_new, d_new, obj, new_obj
         else:
             prev = obj  # reject the step; trace stays flat
         trace.append(obj)
@@ -348,15 +352,11 @@ def sca_solve(cfg: SystemConfig, budget: LinkBudget, trace_hook=None) -> SolveRe
             converged = True
             break
 
-    R = RateTargets(
-        R_h=hc_service_rate(p, cfg, budget), R_l=lc_service_rate(p, cfg, budget)
-    )
-    d = stability_gaps(R, cfg, outage)
     return SolveResult(
         p=p,
         R=R,
         delta=d,
-        objective=min(d),
+        objective=obj,
         iterations=it,
         converged=converged,
         objective_trace=trace,
@@ -457,14 +457,10 @@ def structural_solve(cfg: SystemConfig, budget: LinkBudget) -> SolveResult:
     returned powers, as in ``sca_solve``; ``iterations`` counts bisection
     steps."""
     frontier = Frontier(cfg, budget)
-    outage = frontier.outage
     lo, hi, it = frontier.bracket(cfg.alpha)
-    p = max(frontier.split(lo), frontier.split(hi),
-            key=lambda c: objective_value(c, cfg, budget, outage))
-    R = RateTargets(
-        R_h=hc_service_rate(p, cfg, budget), R_l=lc_service_rate(p, cfg, budget)
-    )
-    d = stability_gaps(R, cfg, outage)
+    p, (R, d) = max(((p, _evaluate(p, cfg, budget, frontier.outage))
+                     for p in (frontier.split(lo), frontier.split(hi))),
+                    key=lambda end: min(end[1][1]))
     return SolveResult(
         p=p, R=R, delta=d, objective=min(d), iterations=it, converged=True
     )

@@ -185,6 +185,21 @@ class TestSubcommands:
         assert float(rows[("1.0", "alpha_T")]["alpha"]) == 0.0
         assert float(rows[("1.0", "alpha_T")]["A_max"]) == 0.0
 
+    @pytest.mark.parametrize("argv", [
+        "queue-sim --scheme time_sharing --alpha-grid 0:0.5:1 --slots 500",
+        "strict-hc --target 1.0 --sigma-grid 0.1:1:0.1",
+    ], ids=["queue-sim", "strict-hc"])
+    def test_nothing_served_exit_code(self, tmp_path, capsys, argv):
+        # q_d = q_r = 1: no class is ever served, and time sharing's
+        # A_max is 0 at every split
+        cfg = tmp_path / "dead.cfg"
+        cfg.write_text("q_d = 1.0\nq_r = 1.0\n")
+        assert main(argv.split() + ["--config", str(cfg), "--jobs", "1"]) == EXIT_OK
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert len(rows) == 3
+        if "A_max" in rows[0]:
+            assert {r["A_max"] for r in rows} == {"0.0"}
+
     def test_oracle_check_passes(self):
         proc = run_cli("oracle-check", "--n", "3", "--seed", "7")
         assert proc.returncode == EXIT_OK

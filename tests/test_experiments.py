@@ -1,10 +1,11 @@
 """Sweep-driver and derived-analysis tests."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from risthz.channel import derive_link_budget
@@ -62,11 +63,24 @@ class TestFeasibilityRegion:
         assert all(vals[i + 1] >= vals[i] - slack for i in range(k))
         assert all(vals[i + 1] <= vals[i] + slack for i in range(k, 20))
 
-    def test_parallel_matches_serial(self, cfg):
-        grid = [0.2, 0.6]
-        a = feasibility_region(cfg, grid, jobs=1)
-        b = feasibility_region(cfg, grid, jobs=2)
-        assert a.records == b.records
+    def test_parallel_matches_serial(self, cfg, tmp_path):
+        # every sweep through the shared engine, compared as CSV bytes:
+        # the strict-HC grid has an unreachable point, whose NaNs come
+        # back from the pool as new objects
+        sweeps = [
+            partial(feasibility_region, cfg, [0.2, 0.6]),
+            partial(blockage_sweep, cfg, [0.0, 0.3]),
+            partial(misalignment_sweep, cfg, [0.08, 0.2]),
+            partial(strict_hc_sweep, cfg, [0.14, 0.24]),
+            partial(delay_sweep, cfg, [0.3, 0.7], "time_sharing", n_slots=500, n_reps=2),
+        ]
+        for i, sweep in enumerate(sweeps):
+            outs = []
+            for jobs in (1, 2):
+                path = tmp_path / f"{i}-{jobs}.csv"
+                sweep(jobs=jobs).write_csv(str(path))
+                outs.append(path.read_bytes())
+            assert outs[0] == outs[1], sweep.func.__name__
 
 
 class TestArgmaxUnimodal:
@@ -306,21 +320,26 @@ class TestAdaptBeamwidth:
         with pytest.raises(BeamAdaptationError, match="floor"):
             adapt_beamwidth(cfg, 1e-6)
 
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_wide_branch_starts_at_analytic_minimum(self, seed):
+    # a_U grows with sqrt(G_U) / f; at G_U = 0.2 and 300 GHz the analytic
+    # minimum lies below W_R_MIN, so w_min clamps to it
+    @given(log10_G_U=st.floats(-1.0, 5.0), f=st.floats(config.F_VALID_MIN, config.F_VALID_MAX))
+    @example(log10_G_U=math.log10(0.2), f=300e9)
+    def test_wide_branch_starts_at_analytic_minimum(self, cfg, log10_G_U, f):
         # the bisection's premise: log w_eq rises on [w_min, W_R_MAX] and
-        # w_min is the minimum, where g' of g(v) = log erf v - 3 log v + v^2
-        # changes sign
+        # an unclamped w_min is the minimum, where g' of
+        # g(v) = log erf v - 3 log v + v^2 changes sign
         def dg(v):
             return 2.0 * math.exp(-v * v) / (math.sqrt(math.pi) * math.erf(v)) - 3.0 / v + 2.0 * v
 
         assert dg(V_STAR * (1.0 - 1e-9)) < 0.0 < dg(V_STAR * (1.0 + 1e-9))
-        a_U = derive_link_budget(random_config(np.random.default_rng(seed))).a_U
-        w_min = max(W_R_MIN, a_U * math.sqrt(math.pi / 2.0) / V_STAR)
+        a_U = derive_link_budget(cfg.with_(G_U=10.0**log10_G_U, f=f)).a_U
+        w_star = a_U * math.sqrt(math.pi / 2.0) / V_STAR
+        w_min = max(W_R_MIN, w_star)
         logs = [experiments._log_w_eq_of_w_r(a_U, float(w))
                 for w in np.geomspace(w_min, W_R_MAX, 200)]
         assert all(b > a for a, b in zip(logs, logs[1:]))
-        assert experiments._log_w_eq_of_w_r(a_U, w_min * (1.0 - 1e-4)) > logs[0]
+        if w_min == w_star:
+            assert experiments._log_w_eq_of_w_r(a_U, w_min * (1.0 - 1e-4)) > logs[0]
 
     def test_round_trip_random_pairs(self, cfg):
         rng = np.random.default_rng(13)
@@ -376,10 +395,20 @@ class TestTimeSharing:
         assert ts.R_h >= golden_hc_rate(c)
 
     def test_pure_lc_matches_mcsc_at_alpha_zero(self, cfg):
-        ts = time_sharing_point(cfg, 0.0)
-        assert ts.lam == 0.0
-        mc = operating_point(cfg, 0.0)
-        assert ts.A_max == pytest.approx(mc.A_max, rel=1e-6)
+        # and, at alpha = 1, the pure HC phase matches SCA's all-HC point
+        for alpha in (0.0, 1.0):
+            ts = time_sharing_point(cfg, alpha)
+            assert ts.lam == alpha
+            mc = operating_point(cfg, alpha)
+            assert ts.A_max == pytest.approx(mc.A_max, rel=1e-6)
+
+    def test_nothing_served(self, cfg):
+        # q_d = q_r = 1: both phases are always in outage, so every split
+        # serves nothing; lam = alpha by convention
+        c = cfg.with_(q_d=1.0, q_r=1.0)
+        for alpha in (0.0, 0.3, 1.0):
+            ts = time_sharing_point(c, alpha)
+            assert (ts.lam, ts.A_max, ts.throughput_total) == (alpha, 0.0, 0.0)
 
     def test_boundary_collinear(self, cfg):
         pts = [
@@ -438,6 +467,15 @@ class TestDelaySweep:
         assert res.records[0]["scheme"] == "time_sharing"
         assert math.isfinite(res.records[0]["tau_l"])
 
-    def test_unknown_scheme_rejected(self, cfg):
+    def test_unknown_scheme_rejected(self, cfg, monkeypatch):
         with pytest.raises(ValueError, match="scheme"):
             delay_sweep(cfg, [0.1], "bogus", n_slots=500)
+        with pytest.raises(ValueError, match="scheme"):
+            delay_sweep(cfg, [], "bogus")
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool started")
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match="scheme"):
+            delay_sweep(cfg, [0.1, 0.2], "bogus", n_slots=500, jobs=2)
