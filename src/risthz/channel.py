@@ -3,9 +3,10 @@
 Covers the deterministic quantities of the two-path (direct + RIS)
 geometry: free-space/absorption path gains, Gaussian-beam widths,
 collected-power fractions, misalignment-fading distribution parameters,
-and the per-path misdetection probabilities, plus the fading and
-channel-gain kernel applied to sampled blockage states and pointing
-errors (floats or per-slot arrays).
+the per-path misdetection probabilities and the power gains at the
+half-power fading threshold, plus the fading and channel-gain kernel
+applied to sampled blockage states and pointing errors (floats or
+per-slot arrays).
 
 The error function is evaluated via ``math.erf`` (C library erf,
 correctly rounded to double precision).
@@ -39,6 +40,8 @@ class LinkBudget:
     q_mr: float         # misdetection probability, reflected
     rho_th_d: float     # half-power fading threshold A_d/2
     rho_th_r: float     # half-power fading threshold A_RIS*A_r/2
+    c_d: float          # direct power gain at the threshold, eta_d^2 rho_th_d
+    c_r: float          # RIS power gain at the threshold, eta_r^2 rho_th_r
     G_R: float          # RIS reflected-beam gain, linear
     sigma_n2: float     # noise power N0*B [W]
 
@@ -52,8 +55,15 @@ def collection_fraction(a: float, w: float) -> tuple[float, float]:
 
 
 def equivalent_width_sq(w: float, v: float) -> float:
-    """Squared equivalent beamwidth w_eq^2 = w^2 * sqrt(pi) erf(v) / (2 v e^{-v^2})."""
-    return w * w * math.sqrt(math.pi) * math.erf(v) / (2.0 * v * math.exp(-v * v))
+    """Squared equivalent beamwidth w_eq^2 = w^2 * sqrt(pi) erf(v) / (2 v e^{-v^2}).
+
+    ``math.inf``, the formula's limit, where e^{-v^2} underflows to 0
+    (v > 27.3, beams far narrower than the aperture).
+    """
+    tail = math.exp(-v * v)
+    if tail == 0.0:
+        return math.inf
+    return w * w * math.sqrt(math.pi) * math.erf(v) / (2.0 * v * tail)
 
 
 def ris_gain(d_RU: float, w_r: float) -> float:
@@ -96,6 +106,7 @@ def derive_link_budget(cfg: SystemConfig) -> LinkBudget:
     gamma_ma_r = w_eq_r / (2.0 * cfg.sigma_mr)
     q_md = 0.5 ** (gamma_ma_d * gamma_ma_d)
     q_mr = 0.5 ** (gamma_ma_r * gamma_ma_r)
+    rho_th_d, rho_th_r = A_d / 2.0, A_RIS * A_r / 2.0
 
     return LinkBudget(
         eta_d=eta_d,
@@ -112,8 +123,10 @@ def derive_link_budget(cfg: SystemConfig) -> LinkBudget:
         gamma_ma_r=gamma_ma_r,
         q_md=q_md,
         q_mr=q_mr,
-        rho_th_d=A_d / 2.0,
-        rho_th_r=A_RIS * A_r / 2.0,
+        rho_th_d=rho_th_d,
+        rho_th_r=rho_th_r,
+        c_d=eta_d**2 * rho_th_d,
+        c_r=eta_r**2 * rho_th_r,
         G_R=G_R,
         sigma_n2=cfg.N0 * cfg.B,
     )

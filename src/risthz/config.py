@@ -90,14 +90,16 @@ class SystemConfig:
 
 _FIELD_NAMES = {f.name for f in fields(SystemConfig)}
 
-# Keys accepted in dB / dBm form in config files, mapped to the linear
-# field they set and the conversion applied.
-_DB_KEYS = {
-    "G_B_db": ("G_B", lambda x: 10 ** (x / 10)),
-    "G_U_db": ("G_U", lambda x: 10 ** (x / 10)),
-    "P_max_dbm": ("P_max", lambda x: 1e-3 * 10 ** (x / 10)),
-    "N0_dbm": ("N0", lambda x: 1e-3 * 10 ** (x / 10)),
+# Fields also accepted in dB / dBm form in config files: the key, the
+# conversion to the linear field, and the default in dB that
+# ``default_config_text`` writes.
+_DB_FORMS = {
+    "P_max": ("P_max_dbm", lambda x: 1e-3 * 10 ** (x / 10), 10.0),
+    "N0": ("N0_dbm", lambda x: 1e-3 * 10 ** (x / 10), -174.0),
+    "G_B": ("G_B_db", lambda x: 10 ** (x / 10), 40.0),
+    "G_U": ("G_U_db", lambda x: 10 ** (x / 10), 35.0),
 }
+_DB_KEYS = {key: (field, to_linear) for field, (key, to_linear, _) in _DB_FORMS.items()}
 
 
 def parse_config_text(text: str) -> SystemConfig:
@@ -166,29 +168,11 @@ def load_config(path: str) -> SystemConfig:
 
 
 def default_config_text() -> str:
-    """Render the defaults as a config document, gains in dB."""
+    """Render the defaults as a config document, one line per field in
+    declaration order, gains and powers in dB."""
     cfg = SystemConfig()
-    lines = [
-        "# Default system parameters (gains/powers in dB form)",
-        "f = %r" % cfg.f,
-        "B = %r" % cfg.B,
-        "P_max_dbm = 10.0",
-        "N0_dbm = -174.0",
-        "G_B_db = 40.0",
-        "G_U_db = 35.0",
-        "d_BU = %r" % cfg.d_BU,
-        "d_BR = %r" % cfg.d_BR,
-        "d_RU = %r" % cfg.d_RU,
-        "k_a = %r" % cfg.k_a,
-        "N_R = %d" % cfg.N_R,
-        "q_d = %r" % cfg.q_d,
-        "q_r = %r" % cfg.q_r,
-        "sigma_md = %r" % cfg.sigma_md,
-        "sigma_mr = %r" % cfg.sigma_mr,
-        "w_r = %r" % cfg.w_r,
-        "alpha = %r" % cfg.alpha,
-        "A_bar = %r" % cfg.A_bar,
-        "M = %r" % cfg.M,
-        "T = %r" % cfg.T,
-    ]
+    lines = ["# Default system parameters (gains/powers in dB form)"]
+    for f in fields(cfg):
+        key, _, value = _DB_FORMS.get(f.name, (f.name, None, getattr(cfg, f.name)))
+        lines.append(f"{key} = {value!r}")
     return "\n".join(lines) + "\n"

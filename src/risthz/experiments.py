@@ -31,9 +31,10 @@ from functools import partial
 
 import numpy as np
 
-from .channel import channel_gains, collection_fraction, derive_link_budget, ris_gain
+from .channel import (channel_gains, collection_fraction, derive_link_budget,
+                      equivalent_width_sq, ris_gain)
 from .config import ConfigError, SystemConfig
-from .mcsc import PowerAllocation, outage_probs
+from .mcsc import PowerAllocation, outage_probs, sinr
 from .optimizer import Frontier, _golden_max, hc_service_rate, lc_service_rate, sca_solve
 from .queueing import (
     run_queues,
@@ -251,37 +252,21 @@ def misalignment_sweep(cfg: SystemConfig, sigma_grid, jobs: int = 1) -> SweepRes
     return _sweep(partial(_three_alpha_records, cfg, "sigma_m"), sigma_grid, jobs)
 
 
-def _log_w_eq_of_w_r(a_U: float, w_r: float) -> float:
-    """log of the reflected equivalent beamwidth as a function of w_r, for
-    a receiving aperture of radius a_U.
-
-    Evaluated in log space because the equivalent-width factor contains
-    e^{v^2}, which overflows for very narrow beams (v ~ a_U / w_r).
-    """
-    _, v = collection_fraction(a_U, w_r)
-    # log w_eq^2 = 2 log w + log(sqrt(pi) erf(v) / (2 v)) + v^2
-    log_sq = (
-        2.0 * math.log(w_r)
-        + math.log(math.sqrt(math.pi) * math.erf(v) / (2.0 * v))
-        + v * v
-    )
-    return 0.5 * log_sq
-
-
 def adapt_beamwidth(cfg: SystemConfig, target_P_out_h: float) -> tuple[float, float]:
     """Reflected-beam radius (and resulting RIS gain) holding the HC
     outage probability at ``target_P_out_h``.
 
     Solves the outage factorization for the required RIS misdetection
-    probability, maps it to an equivalent beamwidth, and inverts the
-    equivalent-width relation by bisection.  w_eq(w_r) is non-monotone:
-    it diverges for beams much narrower than the receiving aperture and
-    grows like w_r for wide beams.  With v = a_U sqrt(pi/2) / w_r,
-    2 log w_eq = const + log erf v - 3 log v + v^2, which is convex in v
-    (its second derivative exceeds 2) with its minimum at ``V_STAR``.
-    The adaptation widens the beam (trading RIS gain for misalignment
-    robustness), so the inversion uses the increasing wide-beam branch
-    w_r >= a_U sqrt(pi/2) / V_STAR.  If the target can be met by any
+    probability, maps it to an equivalent beamwidth, and inverts the link
+    budget's ``channel.equivalent_width_sq`` by bisection.  w_eq(w_r) is
+    non-monotone: it diverges for beams much narrower than the receiving
+    aperture and grows like w_r for wide beams.  With
+    v = a_U sqrt(pi/2) / w_r, 2 log w_eq = const + log erf v - 3 log v + v^2,
+    which is convex in v (its second derivative exceeds 2) with its
+    minimum at ``V_STAR``.  The adaptation widens the beam (trading RIS
+    gain for misalignment robustness), so the inversion uses the
+    increasing wide-beam branch w_r >= a_U sqrt(pi/2) / V_STAR, where
+    v <= V_STAR keeps e^{v^2} small.  If the target can be met by any
     beam, returns the narrowest (highest-gain) bracket beam by
     convention.
     """
@@ -300,19 +285,22 @@ def adapt_beamwidth(cfg: SystemConfig, target_P_out_h: float) -> tuple[float, fl
         )
     q_mr = 1.0 - (1.0 - ratio) / (1.0 - cfg.q_r)
     gamma = math.sqrt(math.log2(1.0 / q_mr))
-    log_target = math.log(2.0 * cfg.sigma_mr * gamma)
+    target = 2.0 * cfg.sigma_mr * gamma
+
+    def w_eq(w_r: float) -> float:
+        return math.sqrt(equivalent_width_sq(w_r, collection_fraction(a_U, w_r)[1]))
 
     w_min = max(W_R_MIN, a_U * math.sqrt(math.pi / 2.0) / V_STAR)
-    log_lo, log_hi = (_log_w_eq_of_w_r(a_U, w) for w in (w_min, W_R_MAX))
-    if not log_lo <= log_target <= log_hi:
+    w_lo, w_hi = w_eq(w_min), w_eq(W_R_MAX)
+    if not w_lo <= target <= w_hi:
         raise BeamAdaptationError(
-            f"required equivalent width {math.exp(log_target):.4g} m outside "
-            f"the invertible range [{math.exp(log_lo):.4g}, {math.exp(log_hi):.4g}] m"
+            f"required equivalent width {target:.4g} m outside "
+            f"the invertible range [{w_lo:.4g}, {w_hi:.4g}] m"
         )
     lo, hi = w_min, W_R_MAX
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if _log_w_eq_of_w_r(a_U, mid) < log_target:
+        if w_eq(mid) < target:
             lo = mid
         else:
             hi = mid
@@ -417,14 +405,16 @@ def simulate_time_sharing(
     cfg: SystemConfig, budget, tsp: TimeSharingPoint, n_slots: int, seed
 ):
     """Queue simulation under the time-sharing baseline: each class is
-    served in its slot fraction; decoding uses the phase's own powers."""
+    served in its slot fraction; decoding uses the phase's own powers, so
+    HC sees no LC interference and LC needs no HC cancellation."""
     rng = np.random.default_rng(seed)
     arrivals = sample_arrivals(cfg, n_slots, rng)
     beta_d, beta_r, eps_d, eps_r = sample_channel_slots(cfg, n_slots, rng)
     h2, g2 = channel_gains(budget, beta_d, beta_r, eps_d, eps_r)
-    s2 = budget.sigma_n2
-    r_h = cfg.B * np.log2(1.0 + (h2 * tsp.p_h_d + g2 * tsp.p_h_r) / s2)
-    r_l = cfg.B * np.log2(1.0 + h2 * cfg.P_max / s2)
+    gam_h, _ = sinr(h2, g2, PowerAllocation(tsp.p_h_d, tsp.p_h_r, 0.0), budget.sigma_n2)
+    _, gam_l = sinr(h2, g2, PowerAllocation(0.0, 0.0, cfg.P_max), budget.sigma_n2)
+    r_h = cfg.B * np.log2(1.0 + gam_h)
+    r_l = cfg.B * np.log2(1.0 + gam_l)
     xi_h = (r_h >= tsp.R_h).astype(np.int8)
     xi_l = (r_l >= tsp.R_l).astype(np.int8)
     tm = cfg.T / cfg.M

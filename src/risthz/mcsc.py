@@ -53,9 +53,8 @@ def sinr(h2, g2, p: PowerAllocation, sigma_n2: float):
     HC is decoded first with LC as interference; the LC value assumes the
     HC cancellation succeeded, which the decoder checks separately.
     """
-    gam_h = (h2 * p.p_h_d + g2 * p.p_h_r) / (h2 * p.p_l_d + g2 * p.p_l_r + sigma_n2)
-    gam_l = (h2 * p.p_l_d + g2 * p.p_l_r) / sigma_n2
-    return gam_h, gam_l
+    sig_l = h2 * p.p_l_d + g2 * p.p_l_r
+    return (h2 * p.p_h_d + g2 * p.p_h_r) / (sig_l + sigma_n2), sig_l / sigma_n2
 
 
 def epsilon_threshold(budget: LinkBudget) -> tuple[float, float]:

@@ -6,8 +6,10 @@ Solves
 
 over the transmit-power simplex, where each delta is the weighted gap
 between the successfully-served packet rate and the arrival rate of the
-corresponding queue.  Rate targets are evaluated robustly at the
-half-power fading thresholds over all single-path blockage states.
+corresponding queue.  Rate targets are evaluated robustly over all
+single-path blockage states at the half-power fading thresholds, through
+the threshold power gains ``c_d`` and ``c_r`` of the link budget
+(``channel.LinkBudget``).
 
 The solver alternates closed-form quadratic-transform multiplier updates
 with an inner concave maximization over the 2-simplex (the power budget
@@ -41,23 +43,6 @@ SCA_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
-class ThresholdGains:
-    """Effective power gains at the half-power fading evaluation point."""
-
-    c_d: float      # eta_d^2 * rho_d(eps_th)
-    c_r: float      # eta_r^2 * rho_r(eps_th)
-    sigma_n2: float
-
-
-def threshold_gains(budget: LinkBudget) -> ThresholdGains:
-    return ThresholdGains(
-        c_d=budget.eta_d**2 * budget.rho_th_d,
-        c_r=budget.eta_r**2 * budget.rho_th_r,
-        sigma_n2=budget.sigma_n2,
-    )
-
-
-@dataclass(frozen=True)
 class QuadTransformState:
     """Auxiliary quadratic-transform multipliers, one per HC blockage
     state plus one for the LC stream."""
@@ -79,34 +64,33 @@ class SolveResult:
     objective_trace: list[float] = field(default_factory=list)
 
 
-def hc_state_terms(p: PowerAllocation, g: ThresholdGains):
+def hc_state_terms(p: PowerAllocation, budget: LinkBudget):
     """(signal, interference + noise) of the HC stream at threshold fading
     in the blockage states (0,1), (1,0) and (1,1), in that order.
 
     Plain arithmetic, so the powers may be floats (the SCA multiplier
-    updates and rate bounds) or equal-shape arrays (the grid scans) with
-    the same rounding.
+    updates and rate bounds) or equal-shape arrays with the same rounding.
     """
-    sig_d, sig_r = g.c_d * p.p_h_d, g.c_r * p.p_h_r
-    itf_d, itf_r = g.c_d * p.p_l_d, g.c_r * p.p_l_r
+    c_d, c_r, s2 = budget.c_d, budget.c_r, budget.sigma_n2
+    sig_d, sig_r = c_d * p.p_h_d, c_r * p.p_h_r
+    itf_d, itf_r = c_d * p.p_l_d, c_r * p.p_l_r
     return (
-        (sig_r, itf_r + g.sigma_n2),
-        (sig_d, itf_d + g.sigma_n2),
-        (sig_d + sig_r, itf_d + itf_r + g.sigma_n2),
+        (sig_r, itf_r + s2),
+        (sig_d, itf_d + s2),
+        (sig_d + sig_r, itf_d + itf_r + s2),
     )
 
 
 def hc_service_rate(p: PowerAllocation, cfg: SystemConfig, budget: LinkBudget) -> float:
     """Robust HC rate: B log2(1 + min-state SINR at threshold fading) [bit/s]."""
-    terms = hc_state_terms(p, threshold_gains(budget))
+    terms = hc_state_terms(p, budget)
     return cfg.B * math.log2(1.0 + min(sig / itf for sig, itf in terms))
 
 
 def lc_service_rate(p: PowerAllocation, cfg: SystemConfig, budget: LinkBudget) -> float:
     """Robust LC rate with beta_d = 1 and the RIS path at its worst case
     (beta_r = 0), matching the quadratic-transform surrogate g_l [bit/s]."""
-    g = threshold_gains(budget)
-    return cfg.B * math.log2(1.0 + g.c_d * p.p_l_d / g.sigma_n2)
+    return cfg.B * math.log2(1.0 + budget.c_d * p.p_l_d / budget.sigma_n2)
 
 
 def stability_gaps(
@@ -143,37 +127,29 @@ def _evaluate(
     return R, stability_gaps(R, cfg, outage)
 
 
-def objective_value(
-    p: PowerAllocation, cfg: SystemConfig, budget: LinkBudget, outage: OutageProbs
-) -> float:
-    """True (untransformed) max-min objective at a power allocation."""
-    return min(_evaluate(p, cfg, budget, outage)[1])
-
-
 def update_mu(p: PowerAllocation, budget: LinkBudget) -> QuadTransformState:
     """Closed-form optimal quadratic-transform multipliers at fixed powers:
     mu* = sqrt(signal) / (interference + noise) per constraint."""
-    g = threshold_gains(budget)
-    terms = hc_state_terms(p, g)
+    terms = hc_state_terms(p, budget)
     mu_01, mu_10, mu_11 = (math.sqrt(sig) / itf for sig, itf in terms)
-    mu_l = math.sqrt(g.c_d * p.p_l_d) / g.sigma_n2
+    mu_l = math.sqrt(budget.c_d * p.p_l_d) / budget.sigma_n2
     return QuadTransformState(mu_h_01=mu_01, mu_h_10=mu_10, mu_h_11=mu_11, mu_l=mu_l)
 
 
-def surrogate_gamma_h(p: PowerAllocation, mu: QuadTransformState, g: ThresholdGains) -> float:
+def surrogate_gamma_h(p: PowerAllocation, mu: QuadTransformState, budget: LinkBudget) -> float:
     """Largest gamma_h satisfying every g_{h,beta} <= 0 at fixed mu
     (negative bounds clamp to zero so the rate stays defined)."""
     best = math.inf
     for (sig, itf), m in zip(
-        hc_state_terms(p, g), (mu.mu_h_01, mu.mu_h_10, mu.mu_h_11)
+        hc_state_terms(p, budget), (mu.mu_h_01, mu.mu_h_10, mu.mu_h_11)
     ):
         best = min(best, 2.0 * m * math.sqrt(sig) - m * m * itf)
     return max(0.0, best)
 
 
-def surrogate_gamma_l(p: PowerAllocation, mu: QuadTransformState, g: ThresholdGains) -> float:
+def surrogate_gamma_l(p: PowerAllocation, mu: QuadTransformState, budget: LinkBudget) -> float:
     return max(
-        0.0, 2.0 * mu.mu_l * math.sqrt(g.c_d * p.p_l_d) - mu.mu_l**2 * g.sigma_n2
+        0.0, 2.0 * mu.mu_l * math.sqrt(budget.c_d * p.p_l_d) - mu.mu_l**2 * budget.sigma_n2
     )
 
 
@@ -221,11 +197,11 @@ def _golden_max(fn, lo: float, hi: float, tol: float):
 
 
 def surrogate_objective(
-    mu: QuadTransformState, cfg: SystemConfig, g: ThresholdGains, outage: OutageProbs
+    mu: QuadTransformState, cfg: SystemConfig, budget: LinkBudget, outage: OutageProbs
 ):
     """Surrogate max-min objective at fixed mu, staged for the nested search.
 
-    ``surrogate_objective(mu, cfg, g, outage)(x)(y)`` equals, bit for bit,
+    ``surrogate_objective(mu, cfg, budget, outage)(x)(y)`` equals, bit for bit,
     ``min(stability_gaps(...))`` at the rates ``B log2(1 + gamma)`` of
     ``surrogate_gamma_h``/``surrogate_gamma_l`` at p = (y, P_max - x - y, x, 0):
     the float operations are the same and run in the same order.  Terms
@@ -236,8 +212,8 @@ def surrogate_objective(
     ``max(0, v)`` as ``v if 0 < v else 0``, the builtins' tie and NaN rules.
     """
     sqrt, log2, inf = math.sqrt, math.log2, math.inf
-    B, P, alpha, s2 = cfg.B, cfg.P_max, cfg.alpha, g.sigma_n2
-    c_d, c_r = g.c_d, g.c_r
+    B, P, alpha, s2 = cfg.B, cfg.P_max, cfg.alpha, budget.sigma_n2
+    c_d, c_r = budget.c_d, budget.c_r
     tm = cfg.T / cfg.M
     k_h = (1.0 - outage.P_out_h) * tm
     k_l = (1.0 - outage.P_out_l) * tm
@@ -295,10 +271,9 @@ def solve_subproblem(
     """
     if outage is None:
         outage = outage_probs(cfg, budget)
-    g = threshold_gains(budget)
     P = cfg.P_max
     tol = 1e-8 * max(P, 1e-30)
-    at = surrogate_objective(mu, cfg, g, outage)
+    at = surrogate_objective(mu, cfg, budget, outage)
 
     def inner(x: float):
         # x = p_l_d; split the remainder between p_h_d and p_h_r.
@@ -339,10 +314,9 @@ def sca_solve(cfg: SystemConfig, budget: LinkBudget, trace_hook=None) -> SolveRe
     for it in range(1, SCA_MAX_ITER + 1):
         mu = update_mu(p, budget)
         sub = solve_subproblem(mu, cfg, budget, outage=outage)
-        R_new, d_new = _evaluate(sub.p, cfg, budget, outage)
-        new_obj = min(d_new)
+        new_obj = min(sub.delta)
         if new_obj >= obj:
-            p, R, d, prev, obj = sub.p, R_new, d_new, obj, new_obj
+            p, R, d, prev, obj = sub.p, sub.R, sub.delta, obj, new_obj
         else:
             prev = obj  # reject the step; trace stays flat
         trace.append(obj)
@@ -386,9 +360,9 @@ class Frontier:
 
     def __init__(self, cfg: SystemConfig, budget: LinkBudget):
         self.outage = out = outage_probs(cfg, budget)
-        g = threshold_gains(budget)
-        self.c_d, self.c_r, self.s2 = g.c_d, g.c_r, g.sigma_n2
-        self.c, self.D = g.c_d * g.c_r, (g.c_d + g.c_r) * g.sigma_n2
+        c_d, c_r, s2 = budget.c_d, budget.c_r, budget.sigma_n2
+        self.c_d, self.c_r, self.s2 = c_d, c_r, s2
+        self.c, self.D = c_d * c_r, (c_d + c_r) * s2
         tm = cfg.T / cfg.M
         self.k_h, self.k_l = (1.0 - out.P_out_h) * tm, (1.0 - out.P_out_l) * tm
         self.B, self.P = cfg.B, cfg.P_max

@@ -23,7 +23,6 @@ from risthz.optimizer import (
     structural_solve,
     surrogate_gamma_h,
     surrogate_gamma_l,
-    threshold_gains,
     update_mu,
 )
 from risthz.experiments import (
@@ -198,17 +197,17 @@ def test_criterion_7_quadratic_transform_tightness():
     worst = 0.0
     for _ in range(1000):
         c = random_config(rng)
-        g = threshold_gains(derive_link_budget(c))
+        b = derive_link_budget(c)
         p = PowerAllocation(*(rng.dirichlet(np.ones(4)) * c.P_max))
-        mu = update_mu(p, derive_link_budget(c))
+        mu = update_mu(p, b)
         exact_h = min(
-            (bd * g.c_d * p.p_h_d + br * g.c_r * p.p_h_r)
-            / (bd * g.c_d * p.p_l_d + br * g.c_r * p.p_l_r + g.sigma_n2)
+            (bd * b.c_d * p.p_h_d + br * b.c_r * p.p_h_r)
+            / (bd * b.c_d * p.p_l_d + br * b.c_r * p.p_l_r + b.sigma_n2)
             for bd, br in ((0, 1), (1, 0), (1, 1))
         )
-        exact_l = g.c_d * p.p_l_d / g.sigma_n2
-        err_h = abs(surrogate_gamma_h(p, mu, g) - exact_h) / (1e-300 + exact_h)
-        err_l = abs(surrogate_gamma_l(p, mu, g) - exact_l) / (1e-300 + exact_l)
+        exact_l = b.c_d * p.p_l_d / b.sigma_n2
+        err_h = abs(surrogate_gamma_h(p, mu, b) - exact_h) / (1e-300 + exact_h)
+        err_l = abs(surrogate_gamma_l(p, mu, b) - exact_l) / (1e-300 + exact_l)
         worst = max(worst, err_h, err_l)
     ok = worst <= 1e-9
     report(7, ok, f"1000 pairs: worst relative recovery error {worst:.2e} (<=1e-9)")

@@ -101,6 +101,17 @@ class TestDeriveLinkBudget:
         assert A < 1e-15
         assert abs(equivalent_width_sq(1.0, v) - 1.0) < 1e-16
 
+    def test_narrow_beam_limit(self, cfg):
+        # at w_r = 0.3 mm, v ~ 37 and e^{-v^2} underflows to 0: the
+        # equivalent width takes its limit, so the RIS path never misdetects
+        # and its fading factor stays at the peak
+        budget = derive_link_budget(cfg.with_(w_r=0.0003))
+        assert budget.w_eq_r == math.inf
+        assert budget.q_mr == 0.0
+        assert fading_coefficient(0.5, 1.0, budget.w_eq_r) == 1.0
+        assert all(math.isfinite(v) for k, v in vars(budget).items()
+                   if k not in ("w_eq_r", "gamma_ma_r"))
+
     def test_misdetection_from_shape_two(self):
         # w_eq = 0.4 m, sigma = 0.1 m -> shape 2, misdetection 0.5^4.
         gamma = 0.4 / (2 * 0.1)

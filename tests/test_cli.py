@@ -19,7 +19,7 @@ from risthz.cli import (
     parse_grid,
     run_from_manifest,
 )
-from risthz.config import ConfigError
+from risthz.config import ConfigError, SystemConfig
 
 
 def run_cli(*args, env=None):
@@ -95,9 +95,16 @@ class TestSubcommands:
         cfg_file.write_text(proc.stdout)
         proc2 = run_cli("config", "--config", str(cfg_file))
         assert proc2.returncode == EXIT_OK
-        resolved = json.loads(proc2.stdout)
-        assert resolved["P_max"] == pytest.approx(0.01)
-        assert resolved["G_B"] == pytest.approx(1e4)
+        assert json.loads(proc2.stdout) == SystemConfig().as_dict()
+
+    def test_narrow_beam_solves(self, tmp_path):
+        # the equivalent-width formula's e^{-v^2} underflows at this beam
+        cfg_file = tmp_path / "narrow.cfg"
+        cfg_file.write_text("w_r = 0.0003\n")
+        proc = run_cli("solve", "--config", str(cfg_file))
+        assert proc.returncode == EXIT_OK
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["converged"]
 
     def test_unknown_config_key_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"

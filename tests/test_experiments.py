@@ -1,5 +1,6 @@
 """Sweep-driver and derived-analysis tests."""
 
+import dataclasses
 import math
 from functools import partial
 
@@ -18,7 +19,6 @@ from risthz.optimizer import (
     random_config,
     sca_solve,
     structural_solve,
-    threshold_gains,
 )
 from risthz import channel, cli, config, experiments, mcsc, optimizer, queueing
 from risthz.experiments import (
@@ -325,7 +325,7 @@ class TestAdaptBeamwidth:
     @given(log10_G_U=st.floats(-1.0, 5.0), f=st.floats(config.F_VALID_MIN, config.F_VALID_MAX))
     @example(log10_G_U=math.log10(0.2), f=300e9)
     def test_wide_branch_starts_at_analytic_minimum(self, cfg, log10_G_U, f):
-        # the bisection's premise: log w_eq rises on [w_min, W_R_MAX] and
+        # the bisection's premise: w_eq rises on [w_min, W_R_MAX] and
         # an unclamped w_min is the minimum, where g' of
         # g(v) = log erf v - 3 log v + v^2 changes sign
         def dg(v):
@@ -335,11 +335,14 @@ class TestAdaptBeamwidth:
         a_U = derive_link_budget(cfg.with_(G_U=10.0**log10_G_U, f=f)).a_U
         w_star = a_U * math.sqrt(math.pi / 2.0) / V_STAR
         w_min = max(W_R_MIN, w_star)
-        logs = [experiments._log_w_eq_of_w_r(a_U, float(w))
-                for w in np.geomspace(w_min, W_R_MAX, 200)]
-        assert all(b > a for a, b in zip(logs, logs[1:]))
+
+        def w_eq_sq(w):
+            return channel.equivalent_width_sq(w, channel.collection_fraction(a_U, w)[1])
+
+        sq = [w_eq_sq(float(w)) for w in np.geomspace(w_min, W_R_MAX, 200)]
+        assert all(b > a for a, b in zip(sq, sq[1:]))
         if w_min == w_star:
-            assert experiments._log_w_eq_of_w_r(a_U, w_min * (1.0 - 1e-4)) > logs[0]
+            assert w_eq_sq(w_min * (1.0 - 1e-4)) > sq[0]
 
     def test_round_trip_random_pairs(self, cfg):
         rng = np.random.default_rng(13)
@@ -373,11 +376,11 @@ class TestAdaptBeamwidth:
 def golden_hc_rate(cfg):
     """Time-sharing HC rate from a golden-section search on the worst
     single-path state, min(c_d y, c_r (P - y)) / sigma^2."""
-    g = threshold_gains(derive_link_budget(cfg))
+    b = derive_link_budget(cfg)
     P = cfg.P_max
 
     def worst_hc(y):
-        return min(g.c_d * y, g.c_r * (P - y)) / g.sigma_n2
+        return min(b.c_d * y, b.c_r * (P - y)) / b.sigma_n2
 
     y, _ = _golden_max(worst_hc, 0.0, P, 1e-10 * P)
     return cfg.B * math.log2(1.0 + worst_hc(y))
@@ -388,8 +391,8 @@ class TestTimeSharing:
     def test_closed_form_split(self, seed):
         c = random_config(np.random.default_rng(seed))
         ts = time_sharing_point(c, c.alpha)
-        g = threshold_gains(derive_link_budget(c))
-        sig_d, sig_r = g.c_d * ts.p_h_d, g.c_r * ts.p_h_r
+        b = derive_link_budget(c)
+        sig_d, sig_r = b.c_d * ts.p_h_d, b.c_r * ts.p_h_r
         assert abs(sig_d - sig_r) <= 1e-15 * max(sig_d, sig_r)
         assert math.isclose(ts.p_h_d + ts.p_h_r, c.P_max, rel_tol=1e-15)
         assert ts.R_h >= golden_hc_rate(c)
@@ -450,6 +453,61 @@ class TestStrictHc:
             assert all(math.isnan(v) for k, v in r.items()
                        if k not in ("sigma_m", "strategy", "feasible"))
         assert res.records[3:] == strict_hc_sweep(cfg, [0.14]).records
+
+
+def time_sharing_reference(cfg, budget, tsp, n_slots, seed):
+    """Per-slot scalar reference for ``simulate_time_sharing``: the HC
+    phase decodes over both paths at its own split with no LC
+    interference, the LC phase decodes on the direct path at P_max with
+    no SIC, and each queue is served in its share (lam or 1 - lam) of the
+    slot.  Draws the channel in ``simulate_time_sharing``'s order."""
+    rng = np.random.default_rng(seed)
+    arrivals = rng.poisson(cfg.A_bar, n_slots).astype(float)
+    beta_d = rng.random(n_slots) >= cfg.q_d
+    beta_r = rng.random(n_slots) >= cfg.q_r
+    eps_d = rng.rayleigh(cfg.sigma_md, n_slots)
+    eps_r = rng.rayleigh(cfg.sigma_mr, n_slots)
+    tm, s2 = cfg.T / cfg.M, budget.sigma_n2
+    ref = {"q_h": [], "q_l": [], "xi_h": [], "xi_l": []}
+    q_h = q_l = 0.0
+    for t in range(n_slots):
+        h2 = beta_d[t] * budget.eta_d**2 * budget.A_d * math.exp(
+            -2.0 * eps_d[t] ** 2 / budget.w_eq_d**2)
+        g2 = beta_r[t] * budget.eta_r**2 * budget.A_RIS * budget.A_r * math.exp(
+            -2.0 * eps_r[t] ** 2 / budget.w_eq_r**2)
+        xi_h = int(cfg.B * math.log2(1.0 + (h2 * tsp.p_h_d + g2 * tsp.p_h_r) / s2) >= tsp.R_h)
+        xi_l = int(cfg.B * math.log2(1.0 + h2 * cfg.P_max / s2) >= tsp.R_l)
+        q_h = max(q_h - xi_h * tsp.lam * tm * tsp.R_h, 0.0) + cfg.alpha * arrivals[t]
+        q_l = max(q_l - xi_l * (1.0 - tsp.lam) * tm * tsp.R_l, 0.0) + (
+            1.0 - cfg.alpha) * arrivals[t]
+        for key, v in (("q_h", q_h), ("q_l", q_l), ("xi_h", xi_h), ("xi_l", xi_l)):
+            ref[key].append(v)
+    return {k: np.array(v) for k, v in ref.items()}, arrivals
+
+
+class TestSimulateTimeSharing:
+    def test_matches_per_slot_reference(self, cfg):
+        # at the baseline's own split an LC success implies an HC success;
+        # with all HC power on the RIS path the phases disagree
+        c = cfg.with_(alpha=0.4)
+        budget = derive_link_budget(c)
+        tsp = dataclasses.replace(time_sharing_point(c, c.alpha),
+                                  p_h_d=0.0, p_h_r=c.P_max)
+        c = c.with_(A_bar=0.9 * tsp.A_max)
+        trace = experiments.simulate_time_sharing(c, budget, tsp, 3000, seed=11)
+        ref, arrivals = time_sharing_reference(c, budget, tsp, 3000, seed=11)
+        assert np.array_equal(trace.arrivals, arrivals)
+        assert np.array_equal(trace.xi_h, ref["xi_h"])
+        assert np.array_equal(trace.xi_l, ref["xi_l"])
+        # slots where the two phases disagree: LC served after an HC outage
+        # (no SIC) and HC served over the RIS path alone (not LC)
+        assert np.any((ref["xi_h"] == 0) & (ref["xi_l"] == 1))
+        assert np.any((ref["xi_h"] == 1) & (ref["xi_l"] == 0))
+        # the closed-form Lindley recursion rounds its running sums in
+        # another order than the slot loop (see test_queueing)
+        tol = 8 * len(arrivals) * np.finfo(float).eps * (1.0 + 2.0 * np.sum(arrivals))
+        assert np.all(np.abs(trace.q_h - ref["q_h"]) <= tol)
+        assert np.all(np.abs(trace.q_l - ref["q_l"]) <= tol)
 
 
 class TestDelaySweep:

@@ -18,14 +18,13 @@ from risthz.mcsc import OutageProbs, PowerAllocation, RateTargets, outage_probs
 from risthz.optimizer import (
     Frontier,
     SolveResult,
-    ThresholdGains,
     _argmax,
+    _evaluate,
     _golden_max,
     hc_service_rate,
     hc_state_terms,
     lc_service_rate,
     max_arrival_rate,
-    objective_value,
     random_config,
     sca_solve,
     solve_subproblem,
@@ -34,7 +33,6 @@ from risthz.optimizer import (
     surrogate_gamma_h,
     surrogate_gamma_l,
     surrogate_objective,
-    threshold_gains,
     update_mu,
 )
 
@@ -59,12 +57,12 @@ def third_point(cfg):
 HC_STATES = ((0, 1), (1, 0), (1, 1))
 
 
-def explicit_state_terms(p, g):
+def explicit_state_terms(p, b):
     """Reference for ``hc_state_terms``: each blockage state written out."""
     return tuple(
         (
-            beta_d * g.c_d * p.p_h_d + beta_r * g.c_r * p.p_h_r,
-            beta_d * g.c_d * p.p_l_d + beta_r * g.c_r * p.p_l_r + g.sigma_n2,
+            beta_d * b.c_d * p.p_h_d + beta_r * b.c_r * p.p_h_r,
+            beta_d * b.c_d * p.p_l_d + beta_r * b.c_r * p.p_l_r + b.sigma_n2,
         )
         for beta_d, beta_r in HC_STATES
     )
@@ -90,9 +88,10 @@ rates = st.floats(0.0, 1e11)
 
 class TestServiceRates:
     def test_threshold_gains(self, budget):
-        g = threshold_gains(budget)
-        assert rel(g.c_d, C_D) < 1e-11
-        assert rel(g.c_r, C_R) < 1e-11
+        assert budget.c_d == budget.eta_d**2 * budget.rho_th_d
+        assert budget.c_r == budget.eta_r**2 * budget.rho_th_r
+        assert rel(budget.c_d, C_D) < 1e-11
+        assert rel(budget.c_r, C_R) < 1e-11
 
     def test_zero_hc_power(self, cfg, budget):
         assert hc_service_rate(PowerAllocation(0, 0, cfg.P_max), cfg, budget) == 0.0
@@ -112,15 +111,13 @@ class TestSharedHelpers:
     @given(p=st.tuples(*[powers] * 4))
     def test_state_terms_bit_exact_on_floats(self, budget, p):
         p = PowerAllocation(*p)
-        g = threshold_gains(budget)
-        assert hc_state_terms(p, g) == explicit_state_terms(p, g)
+        assert hc_state_terms(p, budget) == explicit_state_terms(p, budget)
 
     @given(p=power_arrays)
     def test_state_terms_elementwise_on_arrays(self, budget, p):
-        g = threshold_gains(budget)
-        got = hc_state_terms(PowerAllocation(*p), g)
+        got = hc_state_terms(PowerAllocation(*p), budget)
         for t in range(p.shape[1]):
-            want = explicit_state_terms(PowerAllocation(*p[:, t]), g)
+            want = explicit_state_terms(PowerAllocation(*p[:, t]), budget)
             for (sig, itf), (want_sig, want_itf) in zip(got, want):
                 assert sig[t] == want_sig and itf[t] == want_itf
 
@@ -171,15 +168,14 @@ class TestQuadraticTransform:
 
     def test_tightness_at_optimal_mu(self, cfg, budget):
         # At mu = mu*(p) the surrogate SINR bound recovers the exact ratio.
-        g = threshold_gains(budget)
         rng = np.random.default_rng(17)
         for _ in range(100):
             p = PowerAllocation(*(rng.dirichlet(np.ones(4)) * cfg.P_max))
             mu = update_mu(p, budget)
-            gam_h_exact = min(sig / itf for sig, itf in explicit_state_terms(p, g))
-            gam_l_exact = g.c_d * p.p_l_d / g.sigma_n2
-            assert rel(surrogate_gamma_h(p, mu, g), gam_h_exact) < 1e-9
-            assert rel(surrogate_gamma_l(p, mu, g), gam_l_exact) < 1e-9
+            gam_h_exact = min(sig / itf for sig, itf in explicit_state_terms(p, budget))
+            gam_l_exact = budget.c_d * p.p_l_d / budget.sigma_n2
+            assert rel(surrogate_gamma_h(p, mu, budget), gam_h_exact) < 1e-9
+            assert rel(surrogate_gamma_l(p, mu, budget), gam_l_exact) < 1e-9
 
 
 class TestSubproblem:
@@ -193,18 +189,16 @@ class TestSubproblem:
         p0 = third_point(cfg)
         mu = update_mu(p0, budget)
         res = solve_subproblem(mu, cfg, budget, outage=out)
-        assert objective_value(res.p, cfg, budget, out) >= objective_value(
-            p0, cfg, budget, out
-        ) - 1e-9 * cfg.A_bar
+        assert min(res.delta) >= min(_evaluate(p0, cfg, budget, out)[1]) - 1e-9 * cfg.A_bar
 
 
-def reference_surrogate(mu, cfg, g, outage, x, y):
+def reference_surrogate(mu, cfg, budget, outage, x, y):
     """The surrogate objective at p = (y, P_max - x - y, x) from the
     readable per-point functions."""
     p = PowerAllocation(y, (cfg.P_max - x) - y, x)
     R = RateTargets(
-        cfg.B * math.log2(1.0 + surrogate_gamma_h(p, mu, g)),
-        cfg.B * math.log2(1.0 + surrogate_gamma_l(p, mu, g)),
+        cfg.B * math.log2(1.0 + surrogate_gamma_h(p, mu, budget)),
+        cfg.B * math.log2(1.0 + surrogate_gamma_l(p, mu, budget)),
     )
     return min(stability_gaps(R, cfg, outage))
 
@@ -220,15 +214,14 @@ class TestSurrogateObjective:
         if alpha is not None:
             c = c.with_(alpha=alpha)
         b = derive_link_budget(c)
-        g = threshold_gains(b)
         out = outage_probs(c, b)
         mu = update_mu(PowerAllocation(*(rng.dirichlet(np.ones(4)) * c.P_max)), b)
-        at = surrogate_objective(mu, c, g, out)
+        at = surrogate_objective(mu, c, b, out)
         corners = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
         for u, v in corners + rng.random((16, 2)).tolist():
             x = u * c.P_max
             y = v * (c.P_max - x)
-            assert at(x)(y).hex() == reference_surrogate(mu, c, g, out, x, y).hex()
+            assert at(x)(y).hex() == reference_surrogate(mu, c, b, out, x, y).hex()
 
 
 def golden_max_reference(fn, lo, hi, tol):
@@ -366,13 +359,13 @@ class TestPinnedSca:
 
 
 def _grid_objective(
-    p: PowerAllocation, cfg: SystemConfig, g: ThresholdGains, outage: OutageProbs
+    p: PowerAllocation, cfg: SystemConfig, budget: LinkBudget, outage: OutageProbs
 ) -> np.ndarray:
     """Vectorized true objective over a power allocation of arrays."""
-    gam_01, gam_10, gam_11 = (sig / itf for sig, itf in hc_state_terms(p, g))
+    gam_01, gam_10, gam_11 = (sig / itf for sig, itf in hc_state_terms(p, budget))
     gam_h = np.minimum(np.minimum(gam_01, gam_10), gam_11)
     R_h = cfg.B * np.log2(1.0 + gam_h)
-    R_l = cfg.B * np.log2(1.0 + g.c_d * p.p_l_d / g.sigma_n2)
+    R_l = cfg.B * np.log2(1.0 + budget.c_d * p.p_l_d / budget.sigma_n2)
     return np.minimum(*stability_gaps(RateTargets(R_h, R_l), cfg, outage))
 
 
@@ -381,7 +374,6 @@ def grid_oracle_3d(
 ) -> SolveResult:
     """Coarse grid over the full 3-simplex including p_l_r, used to verify
     that the optimum never benefits from p_l_r > 0."""
-    g = threshold_gains(budget)
     outage = outage_probs(cfg, budget)
     rng = np.arange(n_grid + 1)
     i, j, k = np.meshgrid(rng, rng, rng, indexing="ij")
@@ -392,7 +384,7 @@ def grid_oracle_3d(
     phr = j * (P / n_grid)
     pld = k * (P / n_grid)
     plr = (n_grid - i - j - k) * (P / n_grid)
-    obj = _grid_objective(PowerAllocation(phd, phr, pld, plr), cfg, g, outage)
+    obj = _grid_objective(PowerAllocation(phd, phr, pld, plr), cfg, budget, outage)
     m = int(np.argmax(obj))
     p = PowerAllocation(float(phd[m]), float(phr[m]), float(pld[m]), float(plr[m]))
     R = RateTargets(
@@ -407,14 +399,13 @@ def grid_oracle_3d(
 def simplex_scan_best(cfg, budget, n=500):
     """Best objective of a one-level n-step scan of the 2-simplex
     p_h_d + p_h_r + p_l_d = P_max, p_l_r = 0."""
-    g = threshold_gains(budget)
     out = outage_probs(cfg, budget)
     P = cfg.P_max
     i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
     mask = i + j <= n
     phd, phr = i[mask] * (P / n), j[mask] * (P / n)
     p = PowerAllocation(phd, phr, P - phd - phr, np.zeros_like(phd))
-    return float(np.max(_grid_objective(p, cfg, g, out)))
+    return float(np.max(_grid_objective(p, cfg, budget, out)))
 
 
 class TestStructuralSolve:
@@ -441,7 +432,7 @@ class TestStructuralSolve:
         elif c.alpha == 1.0:
             assert p.p_l_d == 0.0
         else:
-            (s01, i01), (s10, i10), _ = explicit_state_terms(p, threshold_gains(b))
+            (s01, i01), (s10, i10), _ = explicit_state_terms(p, b)
             assert rel(s01 / i01, s10 / i10) <= 1e-12
 
     @given(seed=st.integers(0, 2**32 - 1), alpha=st.sampled_from([None, 0.0, 1.0]))

@@ -65,6 +65,15 @@ def test_counted_result_fields_exist():
     assert "q_h" in {f.name for f in dataclasses.fields(QueueTrace)}
 
 
+def test_checked_budget_fields_exist():
+    # the benchmark's objective check restates the model from these fields
+    # rather than from the threshold gains c_d and c_r
+    from risthz.channel import LinkBudget
+
+    budget_fields = {f.name for f in dataclasses.fields(LinkBudget)}
+    assert {"eta_d", "eta_r", "rho_th_d", "rho_th_r", "sigma_n2"} <= budget_fields
+
+
 # (module, function, positional arguments, keyword arguments) of each
 # call ``perfbench/workloads.py`` makes into the program
 WORKLOAD_CALLS = [
