@@ -20,6 +20,7 @@ import tempfile
 import time
 from dataclasses import asdict
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 
@@ -109,11 +110,17 @@ def _write_manifest(args, cfg: SystemConfig) -> None:
         fh.write("\n")
 
 
-def _emit(result: SweepResult, args, cfg: SystemConfig) -> None:
-    """Write the CSV to ``--out`` with its manifest, or to stdout."""
-    result.write_csv(args.out)
-    if args.out:
+def _emit(write, args, cfg: SystemConfig) -> None:
+    """``write(path)`` the output to ``--out`` with its manifest beside it,
+    or ``write(None)`` to stdout; an unwritable path raises ``ConfigError``."""
+    if not args.out:
+        return write(None)
+    try:
+        write(args.out)
         _write_manifest(args, cfg)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename or args.out}: "
+                          f"{exc.strerror or exc}") from None
 
 
 def cmd_config(args) -> int:
@@ -150,13 +157,10 @@ def cmd_solve(args) -> int:
         "iterations": res.iterations,
         "converged": res.converged,
     }
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    text = json.dumps(payload, indent=2) + "\n"
+    sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        _write_manifest(args, cfg)
+        _emit(lambda path: Path(path).write_text(text, encoding="utf-8"), args, cfg)
     return EXIT_OK if res.converged else EXIT_NO_CONVERGENCE
 
 
@@ -173,7 +177,7 @@ def cmd_sweep(sweep, grid_dest: str, args) -> int:
     """``sweep(cfg, grid, jobs=...)`` over the grid option ``grid_dest``."""
     _require_at_least("--jobs", args.jobs, 1)
     cfg = _load_cfg(args)
-    _emit(sweep(cfg, parse_grid(getattr(args, grid_dest)), jobs=args.jobs), args, cfg)
+    _emit(sweep(cfg, parse_grid(getattr(args, grid_dest)), jobs=args.jobs).write_csv, args, cfg)
     return EXIT_OK
 
 
@@ -187,7 +191,7 @@ def cmd_strict_hc(args) -> int:
         target=args.target,
         jobs=args.jobs,
     )
-    _emit(res, args, cfg)
+    _emit(res.write_csv, args, cfg)
     unreachable = (r["sigma_m"] for r in res.records if not r["feasible"])
     bad = ", ".join(dict.fromkeys(map(repr, unreachable)))
     if bad:
@@ -215,7 +219,7 @@ def cmd_queue_sim(args) -> int:
             jobs=args.jobs,
         )
         records.extend(res.records)
-    _emit(SweepResult(records), args, cfg)
+    _emit(SweepResult(records).write_csv, args, cfg)
     return EXIT_OK
 
 

@@ -31,18 +31,11 @@ from functools import partial
 
 import numpy as np
 
-from .channel import (channel_gains, collection_fraction, derive_link_budget,
-                      equivalent_width_sq, ris_gain)
+from .channel import collection_fraction, derive_link_budget, equivalent_width_sq, ris_gain
 from .config import ConfigError, SystemConfig
-from .mcsc import PowerAllocation, outage_probs, sinr
+from .mcsc import PowerAllocation, RateTargets, outage_probs
 from .optimizer import Frontier, _golden_max, hc_service_rate, lc_service_rate, sca_solve
-from .queueing import (
-    run_queues,
-    sample_arrivals,
-    sample_channel_slots,
-    simulate,
-    stability_diagnostic,
-)
+from .queueing import simulate, simulate_phases, stability_diagnostic
 
 W_R_MIN = 1e-4  # [m] bisection bracket for beamwidth inversion
 W_R_MAX = 10.0
@@ -404,23 +397,14 @@ def _strict_hc_point(
 def simulate_time_sharing(
     cfg: SystemConfig, budget, tsp: TimeSharingPoint, n_slots: int, seed
 ):
-    """Queue simulation under the time-sharing baseline: each class is
-    served in its slot fraction; decoding uses the phase's own powers, so
-    HC sees no LC interference and LC needs no HC cancellation."""
-    rng = np.random.default_rng(seed)
-    arrivals = sample_arrivals(cfg, n_slots, rng)
-    beta_d, beta_r, eps_d, eps_r = sample_channel_slots(cfg, n_slots, rng)
-    h2, g2 = channel_gains(budget, beta_d, beta_r, eps_d, eps_r)
-    gam_h, _ = sinr(h2, g2, PowerAllocation(tsp.p_h_d, tsp.p_h_r, 0.0), budget.sigma_n2)
-    _, gam_l = sinr(h2, g2, PowerAllocation(0.0, 0.0, cfg.P_max), budget.sigma_n2)
-    r_h = cfg.B * np.log2(1.0 + gam_h)
-    r_l = cfg.B * np.log2(1.0 + gam_l)
-    xi_h = (r_h >= tsp.R_h).astype(np.int8)
-    xi_l = (r_l >= tsp.R_l).astype(np.int8)
-    tm = cfg.T / cfg.M
-    service_h = xi_h * (tsp.lam * tm * tsp.R_h)
-    service_l = xi_l * ((1.0 - tsp.lam) * tm * tsp.R_l)
-    return run_queues(cfg, arrivals, service_h, service_l, xi_h, xi_l)
+    """Queue simulation under the time-sharing baseline
+    (``queueing.simulate_phases``): HC is served in a share lam of each
+    slot at its phase's split with no LC interference, LC in the
+    remaining 1 - lam on the direct path at P_max with no HC to cancel.
+    Deterministic under ``seed``; ``n_slots`` < 1 raises ``ValueError``."""
+    hc, lc = PowerAllocation(tsp.p_h_d, tsp.p_h_r, 0.0), PowerAllocation(0.0, 0.0, cfg.P_max)
+    return simulate_phases(cfg, budget, hc, lc, RateTargets(tsp.R_h, tsp.R_l),
+                           (tsp.lam, 1.0 - tsp.lam), n_slots, seed)
 
 
 def _delay_point(

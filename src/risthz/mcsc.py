@@ -46,15 +46,20 @@ class OutageProbs:
     P_out_l: float
 
 
-def sinr(h2, g2, p: PowerAllocation, sigma_n2: float):
+def sinr(h2, g2, hc: PowerAllocation, lc: PowerAllocation, sigma_n2: float):
     """(SINR of the HC stream, SNR of the LC stream) at squared channel
     magnitudes ``h2`` = |h|^2 and ``g2`` = |g|^2 (floats or arrays).
 
-    HC is decoded first with LC as interference; the LC value assumes the
-    HC cancellation succeeded, which the decoder checks separately.
+    HC is decoded at the powers ``hc`` of its phase, whose LC powers
+    interfere; LC at the powers ``lc`` of its phase, assuming any HC
+    stream superposed there was cancelled (the decoder checks that).
+    MC-SC passes its one allocation as both phases, whose LC signal is
+    then the HC interference; time sharing passes its two phases.
     """
-    sig_l = h2 * p.p_l_d + g2 * p.p_l_r
-    return (h2 * p.p_h_d + g2 * p.p_h_r) / (sig_l + sigma_n2), sig_l / sigma_n2
+    interference = h2 * hc.p_l_d + g2 * hc.p_l_r
+    sig_l = interference if lc is hc else h2 * lc.p_l_d + g2 * lc.p_l_r
+    gam_h = (h2 * hc.p_h_d + g2 * hc.p_h_r) / (interference + sigma_n2)
+    return gam_h, sig_l / sigma_n2
 
 
 def epsilon_threshold(budget: LinkBudget) -> tuple[float, float]:

@@ -1,9 +1,13 @@
-"""Slot-level Monte-Carlo simulation of the two-buffer queueing system.
+"""Slot-level Monte-Carlo simulation of the two-buffer queueing system
+under either transmission scheme.
 
-Poisson packet arrivals are split deterministically into HC/LC fractions
-(fluid packets).  Channel states are redrawn independently every slot,
-decode outcomes follow the exact rate comparison, and delays are
-obtained from Little's law.
+Each slot serves HC in one phase and LC in another, each phase with its
+own powers and share of the slot: MC-SC superposes both streams in the
+whole slot, time sharing gives HC a share lam and LC the rest.  One
+pipeline (``simulate_phases``) draws Poisson arrivals, split into HC/LC
+fractions (fluid packets), and i.i.d. channel states per slot, decodes
+them by one rule (``decode_slots``), runs the queues and takes delays
+from Little's law.
 
 Each queue follows Q_t = max(Q_{t-1} - s_t, 0) + a_t from an empty
 buffer, with service s_t and arrivals a_t in packets.  Q_t is the
@@ -27,7 +31,7 @@ import numpy as np
 
 from .channel import LinkBudget, channel_gains
 from .config import SystemConfig
-from .mcsc import RateTargets, sinr
+from .mcsc import PowerAllocation, RateTargets, sinr
 from .optimizer import SolveResult
 
 WARMUP_FRAC = 0.1  # leading share of each trace left out of the means
@@ -98,25 +102,21 @@ def sample_channel_slots(
 
 
 def decode_slots(
-    cfg: SystemConfig,
-    budget: LinkBudget,
-    p,
-    targets: RateTargets,
-    beta_d: np.ndarray,
-    beta_r: np.ndarray,
-    eps_d: np.ndarray,
-    eps_r: np.ndarray,
+    cfg: SystemConfig, budget: LinkBudget, hc: PowerAllocation, lc: PowerAllocation,
+    targets: RateTargets, *slots: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Successive-decoding outcomes (xi_h, xi_l) over sampled channel slots:
-    exact rate comparison at the sampled fading, HC first, LC conditional
-    on HC cancellation."""
-    h2, g2 = channel_gains(budget, beta_d, beta_r, eps_d, eps_r)
-    gam_h, gam_l = sinr(h2, g2, p, budget.sigma_n2)
-    r_h = cfg.B * np.log2(1.0 + gam_h)
-    r_l = cfg.B * np.log2(1.0 + gam_l)
-    xi_h = (r_h >= targets.R_h).astype(np.int8)
-    xi_l = (xi_h & (r_l >= targets.R_l)).astype(np.int8)
-    return xi_h, xi_l
+    """Decoding outcomes (xi_h, xi_l) over the sampled channel ``slots``
+    (beta_d, beta_r, eps_d, eps_r), by exact rate comparison at the sampled
+    fading: HC at the powers ``hc`` of its phase, LC at the powers ``lc``
+    of its phase (``mcsc.sinr``).  LC needs HC's cancellation only where
+    an HC stream is superposed on LC's phase (lc.p_h_d + lc.p_h_r > 0,
+    elementwise, so the powers may be per-slot arrays)."""
+    h2, g2 = channel_gains(budget, *slots)
+    gam_h, gam_l = sinr(h2, g2, hc, lc, budget.sigma_n2)
+    ok_h = cfg.B * np.log2(1.0 + gam_h) >= targets.R_h
+    ok_l = cfg.B * np.log2(1.0 + gam_l) >= targets.R_l
+    ok_l &= ok_h | (lc.p_h_d + lc.p_h_r <= 0.0)
+    return ok_h.astype(np.int8), ok_l.astype(np.int8)
 
 
 def sample_arrivals(
@@ -149,30 +149,36 @@ def run_queues(
     return trace
 
 
-def simulate(
-    cfg: SystemConfig,
-    budget: LinkBudget,
-    solve: SolveResult,
-    n_slots: int,
-    seed,
+def simulate_phases(
+    cfg: SystemConfig, budget: LinkBudget, hc: PowerAllocation, lc: PowerAllocation,
+    rates: RateTargets, shares: tuple[float, float], n_slots: int, seed,
 ) -> QueueTrace:
-    """Simulate the MC-SC queueing system at the operating point of ``solve``.
-
-    Deterministic under ``seed`` (any value accepted by
-    ``numpy.random.default_rng``).
-    """
+    """Simulate ``n_slots`` slots serving HC at powers ``hc`` and rate
+    ``rates.R_h`` in a share ``shares[0]`` of each slot, and LC at ``lc``,
+    ``rates.R_l`` and ``shares[1]``: xi * share * T/M * R packets per slot.
+    Arrivals, blockage and pointing errors come, in that order, from one
+    generator seeded by ``seed`` (any value ``numpy.random.default_rng``
+    accepts)."""
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
     rng = np.random.default_rng(seed)
     arrivals = sample_arrivals(cfg, n_slots, rng)
-    beta_d, beta_r, eps_d, eps_r = sample_channel_slots(cfg, n_slots, rng)
-    xi_h, xi_l = decode_slots(
-        cfg, budget, solve.p, solve.R, beta_d, beta_r, eps_d, eps_r
-    )
+    slots = sample_channel_slots(cfg, n_slots, rng)
+    xi_h, xi_l = decode_slots(cfg, budget, hc, lc, rates, *slots)
     tm = cfg.T / cfg.M
-    service_h = xi_h * tm * solve.R.R_h
-    service_l = xi_l * tm * solve.R.R_l
+    service_h = xi_h * (shares[0] * tm * rates.R_h)
+    service_l = xi_l * (shares[1] * tm * rates.R_l)
     return run_queues(cfg, arrivals, service_h, service_l, xi_h, xi_l)
+
+
+def simulate(
+    cfg: SystemConfig, budget: LinkBudget, solve: SolveResult, n_slots: int, seed
+) -> QueueTrace:
+    """Simulate the MC-SC queueing system at the operating point of ``solve``:
+    both streams superposed in the whole slot, HC decoded first and LC
+    after cancelling it.  Deterministic under ``seed``; ``n_slots`` < 1
+    raises ``ValueError``."""
+    return simulate_phases(cfg, budget, solve.p, solve.p, solve.R, (1.0, 1.0), n_slots, seed)
 
 
 def stability_diagnostic(trace: QueueTrace) -> dict[str, bool]:

@@ -135,6 +135,19 @@ class TestSubcommands:
         assert proc.stderr.count("\n") == 1
         assert str(bad) in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv", ["feasibility --alpha-grid 0:1:1 --jobs 1",
+                                      "solve --alpha 0.5"])
+    @pytest.mark.parametrize("blocked", ["output", "manifest"])
+    def test_unwritable_out_exit_code(self, tmp_path, argv, blocked):
+        out = tmp_path / "missing" / "x.csv"
+        if blocked == "manifest":  # a directory where the manifest goes
+            out = tmp_path / "x.csv"
+            (tmp_path / "x.csv.manifest.json").mkdir()
+        proc = run_cli(*argv.split(), "--out", str(out))
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.count("\n") == 1
+        assert "error: cannot write" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_strict_hc_columns_independent_of_hash_seed(self, tmp_path):
         outs = []
         for seed in ("1", "3"):

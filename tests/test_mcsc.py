@@ -27,27 +27,29 @@ def rel(a, b):
     return abs(a - b) / max(abs(b), 1e-300)
 
 
-def scalar_decode(budget, beta, eps, p, targets, B):
+def scalar_decode(budget, beta, eps, hc, lc, targets, B):
     """Per-slot reference for ``decode_slots``: fading, gains, SINRs and the
-    successive-decoding rule written out with scalar math.  Returns
-    (xi_h, xi_l) and the two rates."""
+    decoding rule written out with scalar math.  HC decodes at its phase's
+    powers ``hc``, LC at ``lc``, after cancelling HC where ``lc`` carries
+    HC power.  Returns (xi_h, xi_l) and the two rates."""
     rho_d = budget.A_d * math.exp(-2.0 * eps[0] ** 2 / budget.w_eq_d**2)
     rho_r = budget.A_RIS * budget.A_r * math.exp(-2.0 * eps[1] ** 2 / budget.w_eq_r**2)
     h2 = beta[0] * budget.eta_d**2 * rho_d
     g2 = beta[1] * budget.eta_r**2 * rho_r
-    gam_h = (h2 * p.p_h_d + g2 * p.p_h_r) / (
-        h2 * p.p_l_d + g2 * p.p_l_r + budget.sigma_n2
+    gam_h = (h2 * hc.p_h_d + g2 * hc.p_h_r) / (
+        h2 * hc.p_l_d + g2 * hc.p_l_r + budget.sigma_n2
     )
-    gam_l = (h2 * p.p_l_d + g2 * p.p_l_r) / budget.sigma_n2
+    gam_l = (h2 * lc.p_l_d + g2 * lc.p_l_r) / budget.sigma_n2
     r_h = B * math.log2(1.0 + gam_h)
     r_l = B * math.log2(1.0 + gam_l)
     xi_h = int(r_h >= targets.R_h)
-    return (xi_h, int(xi_h and r_l >= targets.R_l)), (r_h, r_l)
+    sic = lc.p_h_d + lc.p_h_r > 0.0
+    return (xi_h, int((xi_h or not sic) and r_l >= targets.R_l)), (r_h, r_l)
 
 
-def decode_one(cfg, budget, beta, eps, p, targets):
+def decode_one(cfg, budget, beta, eps, hc, lc, targets):
     xi_h, xi_l = decode_slots(
-        cfg, budget, p, targets, np.array([beta[0]], dtype=np.int8),
+        cfg, budget, hc, lc, targets, np.array([beta[0]], dtype=np.int8),
         np.array([beta[1]], dtype=np.int8), np.array([eps[0]]), np.array([eps[1]]),
     )
     return int(xi_h[0]), int(xi_l[0])
@@ -58,12 +60,12 @@ class TestSinr:
         p = PowerAllocation(2e-3, 3e-3, 0.0, 0.0)
         h2 = budget.eta_d**2 * budget.A_d
         g2 = budget.eta_r**2 * budget.A_RIS * budget.A_r
-        got, _ = sinr(h2, g2, p, budget.sigma_n2)
+        got, _ = sinr(h2, g2, p, p, budget.sigma_n2)
         assert rel(got, (h2 * p.p_h_d + g2 * p.p_h_r) / budget.sigma_n2) < 1e-14
 
     def test_full_blockage_zero(self, budget):
         p = PowerAllocation(2e-3, 3e-3, 5e-3)
-        assert sinr(0.0, 0.0, p, budget.sigma_n2) == (0.0, 0.0)
+        assert sinr(0.0, 0.0, p, p, budget.sigma_n2) == (0.0, 0.0)
 
     def test_generic_matches_scalar_evaluation(self, budget):
         rng = np.random.default_rng(5)
@@ -72,7 +74,7 @@ class TestSinr:
         beta_d, beta_r = rng.integers(2, size=(2, n))
         h2 = beta_d * budget.eta_d**2 * rng.uniform(0, budget.A_d, n)
         g2 = beta_r * budget.eta_r**2 * rng.uniform(0, budget.A_RIS * budget.A_r, n)
-        gam_h, gam_l = sinr(h2, g2, p, budget.sigma_n2)
+        gam_h, gam_l = sinr(h2, g2, p, p, budget.sigma_n2)
         for t in range(n):
             want = (h2[t] * p.p_h_d[t] + g2[t] * p.p_h_r[t]) / (
                 h2[t] * p.p_l_d[t] + g2[t] * p.p_l_r[t] + budget.sigma_n2
@@ -81,12 +83,24 @@ class TestSinr:
             want_l = (h2[t] * p.p_l_d[t] + g2[t] * p.p_l_r[t]) / budget.sigma_n2
             assert rel(gam_l[t], want_l) < 1e-14
 
+    def test_phases_read_their_own_powers(self, budget):
+        # HC at its phase's powers, LC at its own: bit for bit what each
+        # phase's allocation gives when it decodes both streams
+        rng = np.random.default_rng(7)
+        h2 = budget.eta_d**2 * rng.uniform(0, budget.A_d, 20)
+        g2 = budget.eta_r**2 * rng.uniform(0, budget.A_RIS * budget.A_r, 20)
+        hc = PowerAllocation(2e-3, 3e-3, 1e-3, 5e-4)
+        lc = PowerAllocation(1e-3, 0.0, 4e-3, 2e-3)
+        gam_h, gam_l = sinr(h2, g2, hc, lc, budget.sigma_n2)
+        assert np.array_equal(gam_h, sinr(h2, g2, hc, hc, budget.sigma_n2)[0])
+        assert np.array_equal(gam_l, sinr(h2, g2, lc, lc, budget.sigma_n2)[1])
+
     def test_lc_zero_cases(self, budget):
         h2, g2 = budget.eta_d**2 * budget.A_d, 1e-12
         p0 = PowerAllocation(1e-3, 1e-3, 0.0, 0.0)
-        assert sinr(h2, g2, p0, budget.sigma_n2)[1] == 0.0
+        assert sinr(h2, g2, p0, p0, budget.sigma_n2)[1] == 0.0
         p1 = PowerAllocation(1e-3, 1e-3, 1e-3, 0.0)
-        assert sinr(0.0, g2, p1, budget.sigma_n2)[1] == 0.0
+        assert sinr(0.0, g2, p1, p1, budget.sigma_n2)[1] == 0.0
 
     def test_monotonicity_probes(self, budget):
         # Gamma_h nondecreasing in HC powers, nonincreasing in LC powers;
@@ -96,11 +110,13 @@ class TestSinr:
         vals = rng.uniform(1e-4, 2.5e-3, (4, n))
         h2 = budget.eta_d**2 * rng.uniform(1e-6, budget.A_d, n)
         g2 = budget.eta_r**2 * rng.uniform(1e-6, budget.A_RIS * budget.A_r, n)
-        base_h, base_l = sinr(h2, g2, PowerAllocation(*vals), budget.sigma_n2)
+        base = PowerAllocation(*vals)
+        base_h, base_l = sinr(h2, g2, base, base, budget.sigma_n2)
         for k in range(4):
             up = vals.copy()
             up[k] += h
-            gam_h, gam_l = sinr(h2, g2, PowerAllocation(*up), budget.sigma_n2)
+            p = PowerAllocation(*up)
+            gam_h, gam_l = sinr(h2, g2, p, p, budget.sigma_n2)
             if k < 2:  # HC power
                 assert np.all(gam_h >= base_h)
             else:  # LC power
@@ -111,22 +127,33 @@ class TestSinr:
 class TestDecode:
     def test_zero_targets(self, cfg, budget):
         p = PowerAllocation(1e-3, 1e-3, 1e-3)
-        xi = decode_one(cfg, budget, (1, 1), (0.0, 0.0), p, RateTargets(0.0, 0.0))
+        xi = decode_one(cfg, budget, (1, 1), (0.0, 0.0), p, p, RateTargets(0.0, 0.0))
         assert xi == (1, 1)
 
     def test_full_blockage(self, cfg, budget):
         p = PowerAllocation(1e-3, 1e-3, 1e-3)
-        xi = decode_one(cfg, budget, (0, 0), (0.0, 0.0), p, RateTargets(1e9, 0.0))
+        xi = decode_one(cfg, budget, (0, 0), (0.0, 0.0), p, p, RateTargets(1e9, 0.0))
         assert xi == (0, 0)
 
     def test_sic_dependency(self, cfg, budget):
         p = PowerAllocation(5e-3, 4e-3, 1e-3)
         # HC achievable, LC target far above what p_l_d can deliver -> (1, 0)
-        xi = decode_one(cfg, budget, (1, 1), (0.0, 0.0), p, RateTargets(1e6, 1e15))
+        xi = decode_one(cfg, budget, (1, 1), (0.0, 0.0), p, p, RateTargets(1e6, 1e15))
         assert xi == (1, 0)
         # HC target unreachable -> (0, 0) even though LC alone would succeed
-        xi = decode_one(cfg, budget, (1, 1), (0.0, 0.0), p, RateTargets(1e15, 1e6))
+        xi = decode_one(cfg, budget, (1, 1), (0.0, 0.0), p, p, RateTargets(1e15, 1e6))
         assert xi == (0, 0)
+        # a superposed HC stream gates LC however weak it is
+        weak = PowerAllocation(1e-12, 0.0, 1e-3)
+        xi = decode_one(cfg, budget, (1, 1), (0.0, 0.0), weak, weak, RateTargets(1e15, 1e6))
+        assert xi == (0, 0)
+        # a silent HC stream (p_h = 0, R_h > 0) fails but leaves LC nothing
+        # to cancel, and neither does an LC phase without HC power
+        silent = PowerAllocation(0.0, 0.0, 1e-3)
+        xi = decode_one(cfg, budget, (1, 1), (0.0, 0.0), silent, silent, RateTargets(1e6, 1e6))
+        assert xi == (0, 1)
+        xi = decode_one(cfg, budget, (1, 1), (0.0, 0.0), p, silent, RateTargets(1e15, 1e6))
+        assert xi == (0, 1)
 
     def test_sic_consistency_random(self, cfg, budget):
         rng = np.random.default_rng(23)
@@ -135,7 +162,7 @@ class TestDecode:
         beta_d, beta_r = rng.integers(2, size=(2, n), dtype=np.int8)
         eps_d, eps_r = rng.rayleigh(0.2, (2, n))
         targets = RateTargets(*rng.uniform(0, 5e10, (2, n)))
-        xi_h, xi_l = decode_slots(cfg, budget, p, targets, beta_d, beta_r, eps_d, eps_r)
+        xi_h, xi_l = decode_slots(cfg, budget, p, p, targets, beta_d, beta_r, eps_d, eps_r)
         assert np.all(xi_l <= xi_h)
 
     @given(
@@ -143,22 +170,31 @@ class TestDecode:
         targets=st.tuples(*[st.floats(0.0, 8e10)] * 2).map(lambda v: RateTargets(*v)),
         blocks=hnp.arrays(np.int8, (2, 20), elements=st.integers(0, 1)),
         eps=hnp.arrays(np.float64, (2, 20), elements=st.floats(0.0, 1.0)),
+        phased=st.booleans(),
     )
     def test_array_decode_matches_scalar_reference(self, cfg, budget, p, targets,
-                                                   blocks, eps):
+                                                   blocks, eps, phased):
+        # phased: p split into an HC-only and an LC-only phase, as time
+        # sharing decodes; otherwise both streams superposed, as MC-SC
+        hc, lc = p, p
+        if phased:
+            hc = PowerAllocation(p.p_h_d, p.p_h_r, 0.0, 0.0)
+            lc = PowerAllocation(0.0, 0.0, p.p_l_d, p.p_l_r)
         xi_h, xi_l = decode_slots(
-            cfg, budget, p, targets, blocks[0], blocks[1], eps[0], eps[1]
+            cfg, budget, hc, lc, targets, blocks[0], blocks[1], eps[0], eps[1]
         )
+        gated = lc.p_h_d + lc.p_h_r > 0.0
         for t in range(20):
             (want_h, want_l), (r_h, r_l) = scalar_decode(
-                budget, blocks[:, t], eps[:, t], p, targets, cfg.B
+                budget, blocks[:, t], eps[:, t], hc, lc, targets, cfg.B
             )
             # exp/log2 may round differently in the last ulp between numpy
             # and the C library, so a rate within 1e-12 of its target may
             # decide either way.
             if abs(r_h - targets.R_h) > 1e-12 * max(r_h, targets.R_h):
                 assert xi_h[t] == want_h
-                if not want_h or abs(r_l - targets.R_l) > 1e-12 * max(r_l, targets.R_l):
+                if (gated and not want_h) or abs(r_l - targets.R_l) > 1e-12 * max(
+                        r_l, targets.R_l):
                     assert xi_l[t] == want_l
 
 

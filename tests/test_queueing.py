@@ -1,6 +1,7 @@
 """Queue-recursion, simulation, and stability-diagnostic tests."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from risthz.channel import derive_link_budget
 from risthz.config import SystemConfig
+from risthz.experiments import simulate_time_sharing, time_sharing_point
 from risthz.optimizer import sca_solve
 from risthz.queueing import (
     InsufficientDataError,
@@ -102,6 +104,26 @@ class TestSimulate:
         assert np.array_equal(a.q_h, b.q_h)
         assert np.array_equal(a.q_l, b.q_l)
         assert np.array_equal(a.arrivals, b.arrivals)
+
+    @pytest.mark.parametrize("entry", ["simulate", "simulate_time_sharing"])
+    def test_no_slots_rejected(self, cfg, budget, entry):
+        if entry == "simulate":
+            run = partial(simulate, cfg, budget, sca_solve(cfg, budget))
+        else:
+            run = partial(simulate_time_sharing, cfg, budget, time_sharing_point(cfg, cfg.alpha))
+        with pytest.raises(ValueError, match="n_slots must be >= 1"):
+            run(0, seed=0)
+
+    def test_all_lc_point_decodes_hc_every_slot(self, cfg):
+        # at alpha = 0 the solve leaves HC silent with R_h = 0, a rate every
+        # slot meets, so LC never waits on an HC outage
+        c = cfg.with_(alpha=0.0)
+        b = derive_link_budget(c)
+        res = sca_solve(c, b)
+        assert (res.p.p_h_d, res.p.p_h_r, res.R.R_h) == (0.0, 0.0, 0.0)
+        trace = simulate(c, b, res, 2000, seed=3)
+        assert np.all(trace.xi_h == 1)
+        assert 0 < np.mean(trace.xi_l) < 1
 
     def test_queues_never_negative(self, cfg, budget):
         res = sca_solve(cfg, budget)
