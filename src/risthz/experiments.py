@@ -422,20 +422,17 @@ def _delay_point(
         run = partial(simulate, cfg_a, budget, sca_solve(cfg_a, budget))
     else:
         run = partial(simulate_time_sharing, cfg_a, budget, time_sharing_point(cfg_a, alpha))
-    traces = [run(n_slots, np.random.SeedSequence([master_seed, index, rep]))
-              for rep in range(n_reps)]
-    verdict = stability_diagnostic(traces[0])
+    keys = ("tau_h", "tau_l", "peak_q_h_norm", "peak_q_l_norm",
+            "outage_rate_h", "outage_rate_l")
+    vals = []  # each rep's summary values; its trace is dropped at the next rep
+    for rep in range(n_reps):
+        trace = run(n_slots, np.random.SeedSequence([master_seed, index, rep]))
+        if rep == 0:
+            verdict = stability_diagnostic(trace)
+        vals.append([getattr(trace, key) for key in keys])
     rec = {"scheme": scheme, "alpha": alpha}
-    for key in (
-        "tau_h",
-        "tau_l",
-        "peak_q_h_norm",
-        "peak_q_l_norm",
-        "outage_rate_h",
-        "outage_rate_l",
-    ):
-        vals = [getattr(t, key) for t in traces]
-        rec[key] = float(np.mean(vals))
+    for key, col in zip(keys, zip(*vals)):
+        rec[key] = float(np.mean(col))
     rec["stable_h"] = int(verdict["hc"])
     rec["stable_l"] = int(verdict["lc"])
     return [rec]

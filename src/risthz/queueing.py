@@ -69,25 +69,29 @@ class QueueTrace:
 def _lindley(service: np.ndarray, arrivals: np.ndarray) -> np.ndarray:
     """Post-arrival queue lengths Q = U + a, with the waiting backlog U
     in Lindley's closed form (see the module docstring)."""
-    x = np.cumsum(np.concatenate(([0.0], arrivals[:-1])) - service)
-    return x - np.minimum(np.minimum.accumulate(x), 0.0) + arrivals
+    x = np.empty(len(service))
+    x[0] = 0.0 - service[0]
+    np.subtract(arrivals[:-1], service[1:], out=x[1:])
+    np.cumsum(x, out=x)
+    # fmin skips the NaNs that minimum propagates, but from a NaN on x is NaN
+    floor = np.fmin.accumulate(x)
+    x -= np.minimum(floor, 0.0, out=floor)
+    return np.add(x, arrivals, out=x)
 
 
-def _summarize(trace: QueueTrace) -> None:
-    n = len(trace.q_h)
-    w = int(WARMUP_FRAC * n)
-    a_split_h = trace.alpha * trace.arrivals[w:]
-    a_split_l = (1.0 - trace.alpha) * trace.arrivals[w:]
-    trace.mean_q_h = float(np.mean(trace.q_h[w:] - a_split_h))
-    trace.mean_q_l = float(np.mean(trace.q_l[w:] - a_split_l))
+def _summarize(trace: QueueTrace, a_split_h: np.ndarray, a_split_l: np.ndarray) -> None:
+    w = int(WARMUP_FRAC * len(trace.q_h))
+    trace.mean_q_h = float(np.mean(trace.q_h[w:] - a_split_h[w:]))
+    trace.mean_q_l = float(np.mean(trace.q_l[w:] - a_split_l[w:]))
     a_h = trace.alpha * trace.a_bar
     a_l = (1.0 - trace.alpha) * trace.a_bar
     trace.tau_h = trace.mean_q_h / a_h if a_h > 0 else math.nan
     trace.tau_l = trace.mean_q_l / a_l if a_l > 0 else math.nan
     trace.peak_q_h_norm = float(np.max(trace.q_h)) / a_h if a_h > 0 else math.nan
     trace.peak_q_l_norm = float(np.max(trace.q_l)) / a_l if a_l > 0 else math.nan
-    trace.outage_rate_h = float(1.0 - np.mean(trace.xi_h))
-    trace.outage_rate_l = float(1.0 - np.mean(trace.xi_l))
+    # xi is 0/1, so the count over n is its mean to the bit
+    trace.outage_rate_h = 1.0 - np.count_nonzero(trace.xi_h) / len(trace.xi_h)
+    trace.outage_rate_l = 1.0 - np.count_nonzero(trace.xi_l) / len(trace.xi_l)
 
 
 def sample_channel_slots(
@@ -106,17 +110,21 @@ def decode_slots(
     targets: RateTargets, *slots: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decoding outcomes (xi_h, xi_l) over the sampled channel ``slots``
-    (beta_d, beta_r, eps_d, eps_r), by exact rate comparison at the sampled
-    fading: HC at the powers ``hc`` of its phase, LC at the powers ``lc``
-    of its phase (``mcsc.sinr``).  LC needs HC's cancellation only where
-    an HC stream is superposed on LC's phase (lc.p_h_d + lc.p_h_r > 0,
-    elementwise, so the powers may be per-slot arrays)."""
+    (beta_d, beta_r, eps_d, eps_r) at the sampled fading: HC at the powers
+    ``hc`` of its phase, LC at the powers ``lc`` of its phase (``mcsc.sinr``),
+    each against its target SINR 2^(R/B) - 1 (infinite where that overflows;
+    R may be per-slot).  This equals the rate test B log2(1 + SINR) >= R
+    except at exact ties, which the decode property test exempts.  LC needs
+    HC's cancellation only where an HC stream is superposed on LC's phase
+    (lc.p_h_d + lc.p_h_r > 0, elementwise, so the powers may be per-slot
+    arrays)."""
     h2, g2 = channel_gains(budget, *slots)
     gam_h, gam_l = sinr(h2, g2, hc, lc, budget.sigma_n2)
-    ok_h = cfg.B * np.log2(1.0 + gam_h) >= targets.R_h
-    ok_l = cfg.B * np.log2(1.0 + gam_l) >= targets.R_l
+    with np.errstate(over="ignore"):
+        ok_h = gam_h >= np.expm1(np.log(2.0) * (targets.R_h / cfg.B))
+        ok_l = gam_l >= np.expm1(np.log(2.0) * (targets.R_l / cfg.B))
     ok_l &= ok_h | (lc.p_h_d + lc.p_h_r <= 0.0)
-    return ok_h.astype(np.int8), ok_l.astype(np.int8)
+    return ok_h.view(np.int8), ok_l.view(np.int8)
 
 
 def sample_arrivals(
@@ -134,8 +142,9 @@ def run_queues(
     xi_l: np.ndarray,
 ) -> QueueTrace:
     """Drive both queue recursions and attach summary statistics."""
-    q_h = _lindley(service_h, cfg.alpha * arrivals)
-    q_l = _lindley(service_l, (1.0 - cfg.alpha) * arrivals)
+    a_h, a_l = cfg.alpha * arrivals, (1.0 - cfg.alpha) * arrivals
+    q_h = _lindley(service_h, a_h)
+    q_l = _lindley(service_l, a_l)
     trace = QueueTrace(
         arrivals=arrivals,
         q_h=q_h,
@@ -145,7 +154,7 @@ def run_queues(
         alpha=cfg.alpha,
         a_bar=cfg.A_bar,
     )
-    _summarize(trace)
+    _summarize(trace, a_h, a_l)
     return trace
 
 
@@ -185,7 +194,8 @@ def stability_diagnostic(trace: QueueTrace) -> dict[str, bool]:
     """Heuristic per-queue stability verdict.
 
     Fits a linear slope to block-averaged queue lengths over the second
-    half of the trace; a queue is declared unstable when the slope
+    half of the trace in closed form, sum(t (m - mean m)) / sum(t^2) with
+    block centres t taken about their mean; a queue is unstable when the slope
     exceeds ``1e-3 * A_bar`` packets/slot^2.  Returns
     ``{"hc": stable?, "lc": stable?}``.
     """
@@ -200,7 +210,7 @@ def stability_diagnostic(trace: QueueTrace) -> dict[str, bool]:
         block = max(1, len(tail) // 50)
         nb = len(tail) // block
         means = tail[: nb * block].reshape(nb, block).mean(axis=1)
-        t = (np.arange(nb) + 0.5) * block
-        slope = float(np.polyfit(t, means, 1)[0])
+        t = (np.arange(nb) - 0.5 * (nb - 1)) * block
+        slope = float(np.dot(t, means - means.mean()) / np.dot(t, t))
         verdict[name] = slope <= tol
     return verdict

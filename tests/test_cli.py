@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -349,3 +350,14 @@ class TestManifests:
         assert manifest["experiment"] == "misalignment-sweep"
         assert manifest["config"]["q_d"] == 0.3
         assert "config_hash" in manifest and "version" in manifest
+
+    def test_queue_sim_matches_recorded_csv(self, tmp_path):
+        # recorded once by ``risthz queue-sim`` with these arguments; a change
+        # to the queue layer must leave every seeded byte where it was
+        out = tmp_path / "q.csv"
+        assert main([
+            "queue-sim", "--scheme", "both", "--alpha-grid", "0:0.25:1", "--slots", "2000",
+            "--reps", "2", "--seed", "3", "--jobs", "1", "--out", str(out),
+        ]) == EXIT_OK
+        golden = Path(__file__).parent / "data" / "queue_sim_golden.csv"
+        assert out.read_bytes() == golden.read_bytes()

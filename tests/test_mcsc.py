@@ -1,6 +1,7 @@
 """Superposition-coding SINRs, decoding, thresholds, and outage tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,42 @@ class TestDecode:
         targets = RateTargets(*rng.uniform(0, 5e10, (2, n)))
         xi_h, xi_l = decode_slots(cfg, budget, p, p, targets, beta_d, beta_r, eps_d, eps_r)
         assert np.all(xi_l <= xi_h)
+
+    def test_overflowing_target_decodes_nowhere(self, cfg, budget):
+        # 2^(R/B) overflows at R = 1e15, B = 10 GHz: the target SINR is
+        # infinite and no slot reaches it, with no warning raised
+        rng = np.random.default_rng(3)
+        beta = np.ones((2, 500), dtype=np.int8)
+        eps = rng.rayleigh(0.05, (2, 500))
+        p = PowerAllocation(5e-3, 4e-3, 1e-3)
+        silent = PowerAllocation(0.0, 0.0, 1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            xi_h, _ = decode_slots(cfg, budget, p, p, RateTargets(1e15, 0.0), *beta, *eps)
+            _, xi_l = decode_slots(cfg, budget, silent, silent, RateTargets(0.0, 1e15),
+                                   *beta, *eps)
+            reachable = decode_slots(cfg, budget, p, p, RateTargets(1e6, 1e6), *beta, *eps)
+        assert not xi_h.any() and not xi_l.any()
+        assert reachable[0].all() and reachable[1].all()
+
+    def test_per_slot_targets_match_scalar_targets(self, cfg, budget):
+        rng = np.random.default_rng(29)
+        n = 400
+        p = PowerAllocation(2e-3, 2e-3, 1e-3)
+        beta = rng.integers(2, size=(2, n), dtype=np.int8)
+        eps = rng.rayleigh(0.2, (2, n))
+        levels = np.array([0.0, 1e9, 1e10, 4e10, 1e15])
+        r_h, r_l = levels[rng.integers(len(levels), size=(2, n))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = decode_slots(cfg, budget, p, p, RateTargets(r_h, r_l), *beta, *eps)
+            for a in levels:
+                for b in levels:
+                    want = decode_slots(cfg, budget, p, p, RateTargets(a, b), *beta, *eps)
+                    at = (r_h == a) & (r_l == b)
+                    assert np.array_equal(got[0][at], want[0][at])
+                    assert np.array_equal(got[1][at], want[1][at])
+        assert 0 < got[0].sum() < n and 0 < got[1].sum() < n
 
     @given(
         p=st.tuples(*[st.floats(0.0, 2.5e-3)] * 4).map(lambda v: PowerAllocation(*v)),

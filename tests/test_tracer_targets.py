@@ -110,3 +110,22 @@ def test_sweep_result_has_records():
     from risthz.experiments import SweepResult
 
     assert "records" in {f.name for f in dataclasses.fields(SweepResult)}
+
+
+@pytest.mark.parametrize("scheme", ["mcsc", "time_sharing"])
+def test_slot_pipeline_reaches_wrapped_stages(monkeypatch, scheme):
+    # the tracer wraps these by module attribute and counts queueing.slots
+    # from run_queues: a pipeline that bound or inlined them would zero it
+    from risthz import queueing
+    from risthz.config import SystemConfig
+    from risthz.experiments import delay_sweep
+
+    calls = {}
+    for name in ("decode_slots", "run_queues"):
+        def counted(*args, _fn=getattr(queueing, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(queueing, name, counted)
+    delay_sweep(SystemConfig(), [0.5], scheme, n_slots=2000, n_reps=4, master_seed=7, jobs=1)
+    assert calls == {"decode_slots": 4, "run_queues": 4}
+
