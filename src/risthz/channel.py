@@ -148,19 +148,30 @@ def misalignment_cdf(x: float, A: float, gamma_ma: float) -> float:
     return (x / A) ** (gamma_ma * gamma_ma)
 
 
-def fading_coefficient(eps, A_peak: float, w_eq: float):
+def fading_coefficient(eps, A_peak: float, w_eq: float, out=None):
     """Collected-power fraction rho = A_peak * exp(-2 eps^2 / w_eq^2) at
-    radial pointing error ``eps`` (float or array).
+    radial pointing error ``eps`` (float or array), written into the array
+    ``out`` if one is given, else into fresh storage.
 
     For the RIS path the caller passes A_peak = A_RIS * A_r.
     """
-    return A_peak * np.exp(-2.0 * eps**2 / w_eq**2)
+    rho = np.square(eps, out=out)
+    rho = np.multiply(-2.0, rho, out=out)
+    rho = np.divide(rho, w_eq**2, out=out)
+    return np.multiply(A_peak, np.exp(rho, out=out), out=out)
 
 
-def channel_gains(budget: LinkBudget, beta_d, beta_r, eps_d, eps_r):
+def channel_gains(budget: LinkBudget, beta_d, beta_r, eps_d, eps_r, out=None):
     """Squared channel magnitudes (|h|^2, |g|^2) at blockage indicators
     ``beta_*`` (1 = path available) and pointing errors ``eps_*``, elementwise
-    over floats or per-slot arrays."""
-    rho_d = fading_coefficient(eps_d, budget.A_d, budget.w_eq_d)
-    rho_r = fading_coefficient(eps_r, budget.A_RIS * budget.A_r, budget.w_eq_r)
-    return beta_d * budget.eta_d**2 * rho_d, beta_r * budget.eta_r**2 * rho_r
+    over floats or per-slot arrays.
+
+    ``out`` is None or three float arrays of the slots' shape: |h|^2 and
+    |g|^2 are written into the first two, and the third holds each path's
+    fading coefficient on the way.  The inputs are left unchanged."""
+    h2, g2, rho = (None, None, None) if out is None else out
+    rho_d = fading_coefficient(eps_d, budget.A_d, budget.w_eq_d, out=rho)
+    h2 = np.multiply(np.multiply(beta_d, budget.eta_d**2, out=h2), rho_d, out=h2)
+    rho_r = fading_coefficient(eps_r, budget.A_RIS * budget.A_r, budget.w_eq_r, out=rho)
+    g2 = np.multiply(np.multiply(beta_r, budget.eta_r**2, out=g2), rho_r, out=g2)
+    return h2, g2

@@ -29,7 +29,7 @@ from .channel import derive_link_budget
 from .config import ConfigError, SystemConfig, default_config_text, load_config
 from .experiments import (
     DEFAULT_N_SLOTS,
-    SweepResult,
+    SCHEMES,
     blockage_sweep,
     config_hash,
     delay_sweep,
@@ -206,20 +206,16 @@ def cmd_queue_sim(args) -> int:
     _require_at_least("--jobs", args.jobs, 1)
     cfg = _load_cfg(args)
     grid = parse_grid(args.alpha_grid)
-    schemes = ["mcsc", "time_sharing"] if args.scheme == "both" else [args.scheme]
-    records = []
-    for scheme in schemes:
-        res = delay_sweep(
-            cfg,
-            grid,
-            scheme,
-            n_slots=args.slots,
-            n_reps=args.reps,
-            master_seed=args.seed,
-            jobs=args.jobs,
-        )
-        records.extend(res.records)
-    _emit(SweepResult(records).write_csv, args, cfg)
+    res = delay_sweep(
+        cfg,
+        grid,
+        SCHEMES if args.scheme == "both" else args.scheme,
+        n_slots=args.slots,
+        n_reps=args.reps,
+        master_seed=args.seed,
+        jobs=args.jobs,
+    )
+    _emit(res.write_csv, args, cfg)
     return EXIT_OK
 
 
@@ -313,8 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("queue-sim", cmd_queue_sim, "queueing delay/peak sweep",
                 grid=("--alpha-grid", "0:0.05:1", "alpha"))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scheme", choices=["mcsc", "time_sharing", "both"],
-                   default="mcsc")
+    p.add_argument("--scheme", choices=[*SCHEMES, "both"], default="mcsc")
     p.add_argument("--slots", type=int, default=DEFAULT_N_SLOTS)
     p.add_argument("--reps", type=int, default=1)
 

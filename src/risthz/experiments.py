@@ -13,8 +13,10 @@ all-HC and all-LC ends.
 Every sweep driver runs one point function per grid value through
 ``_sweep``, which returns each point's records in grid order.  Sweep
 points are independent; with ``jobs > 1`` they are evaluated in a
-process pool.  Simulation seeds derive from a master seed via
-``numpy.random.SeedSequence([master_seed, point_index, replication])``.
+process pool.  A delay sweep over several schemes runs every scheme's
+points through one ``_sweep``.  Simulation seeds derive from a master
+seed via ``numpy.random.SeedSequence([master_seed, grid_index,
+replication])``, the same under every scheme.
 """
 
 from __future__ import annotations
@@ -35,7 +37,13 @@ from .channel import collection_fraction, derive_link_budget, equivalent_width_s
 from .config import ConfigError, SystemConfig
 from .mcsc import PowerAllocation, RateTargets, outage_probs
 from .optimizer import Frontier, _golden_max, hc_service_rate, lc_service_rate, sca_solve
-from .queueing import simulate, simulate_phases, stability_diagnostic
+from .queueing import (
+    SlotBuffers,
+    simulate,
+    simulate_phases,
+    stability_diagnostic,
+    thread_buffers,
+)
 
 W_R_MIN = 1e-4  # [m] bisection bracket for beamwidth inversion
 W_R_MAX = 10.0
@@ -395,36 +403,48 @@ def _strict_hc_point(
 
 
 def simulate_time_sharing(
-    cfg: SystemConfig, budget, tsp: TimeSharingPoint, n_slots: int, seed
+    cfg: SystemConfig, budget, tsp: TimeSharingPoint, n_slots: int, seed,
+    buffers: SlotBuffers | None = None,
 ):
     """Queue simulation under the time-sharing baseline
     (``queueing.simulate_phases``): HC is served in a share lam of each
     slot at its phase's split with no LC interference, LC in the
     remaining 1 - lam on the direct path at P_max with no HC to cancel.
-    Deterministic under ``seed``; ``n_slots`` < 1 raises ``ValueError``."""
+    Deterministic under ``seed``; ``n_slots`` < 1 raises ``ValueError``.
+    ``buffers`` as in ``simulate_phases``."""
     hc, lc = PowerAllocation(tsp.p_h_d, tsp.p_h_r, 0.0), PowerAllocation(0.0, 0.0, cfg.P_max)
     return simulate_phases(cfg, budget, hc, lc, RateTargets(tsp.R_h, tsp.R_l),
-                           (tsp.lam, 1.0 - tsp.lam), n_slots, seed)
+                           (tsp.lam, 1.0 - tsp.lam), n_slots, seed, buffers=buffers)
+
+
+SCHEMES = ("mcsc", "time_sharing")
 
 
 def _delay_point(
     cfg: SystemConfig,
-    scheme: str,
+    schemes: tuple[str, ...],
+    n_grid: int,
     n_slots: int,
     n_reps: int,
     master_seed: int,
-    index: int,
+    point: int,
     alpha: float,
 ) -> list[dict]:
+    """Record of grid point ``point % n_grid`` of scheme
+    ``schemes[point // n_grid]``.  Every replication runs in this
+    thread's slot workspace, so only its summary outlives the next one."""
+    scheme, index = schemes[point // n_grid], point % n_grid
     cfg_a = cfg.with_(alpha=alpha)
     budget = derive_link_budget(cfg_a)
+    buffers = thread_buffers(n_slots)
     if scheme == "mcsc":
-        run = partial(simulate, cfg_a, budget, sca_solve(cfg_a, budget))
+        run = partial(simulate, cfg_a, budget, sca_solve(cfg_a, budget), buffers=buffers)
     else:
-        run = partial(simulate_time_sharing, cfg_a, budget, time_sharing_point(cfg_a, alpha))
+        run = partial(simulate_time_sharing, cfg_a, budget, time_sharing_point(cfg_a, alpha),
+                      buffers=buffers)
     keys = ("tau_h", "tau_l", "peak_q_h_norm", "peak_q_l_norm",
             "outage_rate_h", "outage_rate_l")
-    vals = []  # each rep's summary values; its trace is dropped at the next rep
+    vals = []  # each rep's summary values; its trace is overwritten by the next rep
     for rep in range(n_reps):
         trace = run(n_slots, np.random.SeedSequence([master_seed, index, rep]))
         if rep == 0:
@@ -441,16 +461,22 @@ def _delay_point(
 def delay_sweep(
     cfg: SystemConfig,
     alpha_grid,
-    scheme: str,
+    scheme: str | tuple[str, ...],
     n_slots: int = DEFAULT_N_SLOTS,
     n_reps: int = 1,
     master_seed: int = 0,
     jobs: int = 1,
 ) -> SweepResult:
     """Queueing delay and peak-queue metrics over the HC fraction at the
-    configured arrival rate, for either transmission scheme (``mcsc`` or
-    ``time_sharing``; any other raises ``ValueError`` before a point runs)."""
-    if scheme not in ("mcsc", "time_sharing"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    point = partial(_delay_point, cfg, scheme, n_slots, n_reps, master_seed)
-    return _sweep(point, alpha_grid, jobs)
+    configured arrival rate, for a transmission scheme (``mcsc`` or
+    ``time_sharing``) or a sequence of them, whose records follow one
+    another scheme by scheme from one run of the sweep engine.  Point i of
+    the grid seeds the same way under every scheme.  Any other scheme
+    raises ``ValueError`` before a point runs."""
+    schemes = (scheme,) if isinstance(scheme, str) else tuple(scheme)
+    for name in schemes:
+        if name not in SCHEMES:
+            raise ValueError(f"unknown scheme {name!r}")
+    grid = list(alpha_grid)
+    point = partial(_delay_point, cfg, schemes, len(grid), n_slots, n_reps, master_seed)
+    return _sweep(point, grid * len(schemes), jobs)

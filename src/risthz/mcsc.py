@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .channel import LinkBudget
 from .config import SystemConfig
 
@@ -46,7 +48,7 @@ class OutageProbs:
     P_out_l: float
 
 
-def sinr(h2, g2, hc: PowerAllocation, lc: PowerAllocation, sigma_n2: float):
+def sinr(h2, g2, hc: PowerAllocation, lc: PowerAllocation, sigma_n2: float, out=None):
     """(SINR of the HC stream, SNR of the LC stream) at squared channel
     magnitudes ``h2`` = |h|^2 and ``g2`` = |g|^2 (floats or arrays).
 
@@ -55,11 +57,21 @@ def sinr(h2, g2, hc: PowerAllocation, lc: PowerAllocation, sigma_n2: float):
     stream superposed there was cancelled (the decoder checks that).
     MC-SC passes its one allocation as both phases, whose LC signal is
     then the HC interference; time sharing passes its two phases.
+
+    ``out`` is None or four float arrays of the gains' shape: the two
+    ratios are written into the first two, and the other two hold the
+    interference and the partial sums.  The inputs are left unchanged.
     """
-    interference = h2 * hc.p_l_d + g2 * hc.p_l_r
-    sig_l = interference if lc is hc else h2 * lc.p_l_d + g2 * lc.p_l_r
-    gam_h = (h2 * hc.p_h_d + g2 * hc.p_h_r) / (interference + sigma_n2)
-    return gam_h, sig_l / sigma_n2
+    gam_h, gam_l, interference, part = (None,) * 4 if out is None else out
+    interference = np.add(np.multiply(h2, hc.p_l_d, out=interference),
+                          np.multiply(g2, hc.p_l_r, out=part), out=interference)
+    sig_l = interference if lc is hc else np.add(
+        np.multiply(h2, lc.p_l_d, out=gam_l), np.multiply(g2, lc.p_l_r, out=part), out=gam_l)
+    gam_h = np.divide(
+        np.add(np.multiply(h2, hc.p_h_d, out=gam_h), np.multiply(g2, hc.p_h_r, out=part),
+               out=gam_h),
+        np.add(interference, sigma_n2, out=part), out=gam_h)
+    return gam_h, np.divide(sig_l, sigma_n2, out=gam_l)
 
 
 def epsilon_threshold(budget: LinkBudget) -> tuple[float, float]:

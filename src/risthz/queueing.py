@@ -20,11 +20,29 @@ U_t = max(U_{t-1} + a_{t-1} - s_t, 0) with a_{-1} = 0, whose closed form
     X = cumsum(a_{t-1} - s_t),    U = X - min(0, cummin X)
 
 evaluates a whole trace with array operations and no slot loop.
+
+Given a ``SlotBuffers`` workspace, every stage writes into its arrays
+with ``out=`` and allocates no per-slot array, except for the integer
+Poisson draws, which numpy cannot write in place.  Who owns what:
+
+* A public call given no ``buffers`` (``simulate``, ``simulate_phases``,
+  ``experiments.simulate_time_sharing`` or one stage) runs in fresh
+  buffers, so the caller owns every array it gets back.
+* A call given ``buffers`` returns views of them, which the next call
+  given the same buffers overwrites.  A stage writes only the arrays
+  that ``SlotBuffers`` lists for it and leaves its inputs unchanged.
+* ``experiments.delay_sweep`` runs every replication in the workspace
+  of its thread (``thread_buffers``) and keeps only each replication's
+  summary, so a delay point allocates no per-slot array after the
+  thread's first one.  One workspace per thread makes concurrent sweeps
+  safe; it holds 10 float and 4 bool arrays, 84 bytes per slot (1.7 MB
+  at 20,000 slots), until the thread ends or asks for another length.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,23 +84,73 @@ class QueueTrace:
     outage_rate_l: float = math.nan
 
 
-def _lindley(service: np.ndarray, arrivals: np.ndarray) -> np.ndarray:
+class SlotBuffers:
+    """The per-slot arrays of one simulation, allocated once for
+    ``n_slots`` slots and overwritten by the next simulation given them.
+
+    Each array and the stages that write it, in pipeline order:
+
+    ===============  =====================================================
+    arrivals         ``sample_arrivals``
+    beta_d, beta_r   ``sample_channel_slots`` (bool blockage states)
+    eps_d, eps_r     ``sample_channel_slots`` (eps_d first holds the
+                     blockage draws)
+    h2, g2           ``decode_slots`` (channel gains), then
+                     ``simulate_phases`` (service amounts)
+    q_h, q_l         ``decode_slots`` (SINRs), then ``run_queues`` (queue
+                     lengths)
+    xi_h, xi_l       ``decode_slots`` (bool decoding outcomes)
+    work_a, work_b   ``decode_slots`` (fading and partial sums), then
+                     ``run_queues`` (each class's share of the arrivals)
+    work_c           ``run_queues`` (Lindley floors, summary differences)
+    ===============  =====================================================
+    """
+
+    FLOATS = ("arrivals", "eps_d", "eps_r", "h2", "g2", "q_h", "q_l",
+              "work_a", "work_b", "work_c")
+    BOOLS = ("beta_d", "beta_r", "xi_h", "xi_l")
+
+    def __init__(self, n_slots: int):
+        self.n_slots = n_slots
+        for name in self.FLOATS:
+            setattr(self, name, np.empty(n_slots))
+        for name in self.BOOLS:
+            setattr(self, name, np.empty(n_slots, dtype=bool))
+
+
+_thread_state = threading.local()
+
+
+def thread_buffers(n_slots: int) -> SlotBuffers:
+    """The calling thread's slot workspace for ``n_slots`` slots, made on
+    the thread's first call and again only when ``n_slots`` changes."""
+    buffers = getattr(_thread_state, "buffers", None)
+    if buffers is None or buffers.n_slots != n_slots:
+        buffers = _thread_state.buffers = SlotBuffers(n_slots)
+    return buffers
+
+
+def _lindley(service: np.ndarray, arrivals: np.ndarray, out=None, work=None) -> np.ndarray:
     """Post-arrival queue lengths Q = U + a, with the waiting backlog U
-    in Lindley's closed form (see the module docstring)."""
-    x = np.empty(len(service))
+    in Lindley's closed form (see the module docstring), written into
+    ``out``; ``work`` holds the running minimum.  Either may be None for
+    fresh storage, and neither may alias the inputs."""
+    x = np.empty(len(service)) if out is None else out
     x[0] = 0.0 - service[0]
     np.subtract(arrivals[:-1], service[1:], out=x[1:])
     np.cumsum(x, out=x)
     # fmin skips the NaNs that minimum propagates, but from a NaN on x is NaN
-    floor = np.fmin.accumulate(x)
+    floor = np.fmin.accumulate(x, out=work)
     x -= np.minimum(floor, 0.0, out=floor)
     return np.add(x, arrivals, out=x)
 
 
-def _summarize(trace: QueueTrace, a_split_h: np.ndarray, a_split_l: np.ndarray) -> None:
+def _summarize(trace: QueueTrace, a_split_h: np.ndarray, a_split_l: np.ndarray,
+               work: np.ndarray) -> None:
     w = int(WARMUP_FRAC * len(trace.q_h))
-    trace.mean_q_h = float(np.mean(trace.q_h[w:] - a_split_h[w:]))
-    trace.mean_q_l = float(np.mean(trace.q_l[w:] - a_split_l[w:]))
+    diff = work[: len(trace.q_h) - w]
+    trace.mean_q_h = float(np.mean(np.subtract(trace.q_h[w:], a_split_h[w:], out=diff)))
+    trace.mean_q_l = float(np.mean(np.subtract(trace.q_l[w:], a_split_l[w:], out=diff)))
     a_h = trace.alpha * trace.a_bar
     a_l = (1.0 - trace.alpha) * trace.a_bar
     trace.tau_h = trace.mean_q_h / a_h if a_h > 0 else math.nan
@@ -95,19 +163,25 @@ def _summarize(trace: QueueTrace, a_split_h: np.ndarray, a_split_l: np.ndarray) 
 
 
 def sample_channel_slots(
-    cfg: SystemConfig, n_slots: int, rng: np.random.Generator
+    cfg: SystemConfig, n_slots: int, rng: np.random.Generator,
+    buffers: SlotBuffers | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-slot i.i.d. blockage indicators and pointing errors."""
-    beta_d = (rng.random(n_slots) >= cfg.q_d).astype(np.int8)
-    beta_r = (rng.random(n_slots) >= cfg.q_r).astype(np.int8)
-    eps_d = rng.rayleigh(cfg.sigma_md, n_slots)
-    eps_r = rng.rayleigh(cfg.sigma_mr, n_slots)
-    return beta_d, beta_r, eps_d, eps_r
+    """Per-slot i.i.d. blockage indicators (int8 views of ``beta_d`` and
+    ``beta_r``) and Rayleigh pointing errors (``eps_d``, ``eps_r``) of
+    ``buffers``, or of fresh buffers without one.  A Rayleigh draw is
+    sigma sqrt(2 E) with E standard exponential, numpy's own formula."""
+    buf = SlotBuffers(n_slots) if buffers is None else buffers
+    for beta, q in ((buf.beta_d, cfg.q_d), (buf.beta_r, cfg.q_r)):
+        np.greater_equal(rng.random(out=buf.eps_d), q, out=beta)
+    for eps, sigma in ((buf.eps_d, cfg.sigma_md), (buf.eps_r, cfg.sigma_mr)):
+        rng.standard_exponential(out=eps)
+        np.multiply(sigma, np.sqrt(np.multiply(eps, 2.0, out=eps), out=eps), out=eps)
+    return buf.beta_d.view(np.int8), buf.beta_r.view(np.int8), buf.eps_d, buf.eps_r
 
 
 def decode_slots(
     cfg: SystemConfig, budget: LinkBudget, hc: PowerAllocation, lc: PowerAllocation,
-    targets: RateTargets, *slots: np.ndarray,
+    targets: RateTargets, *slots: np.ndarray, buffers: SlotBuffers | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decoding outcomes (xi_h, xi_l) over the sampled channel ``slots``
     (beta_d, beta_r, eps_d, eps_r) at the sampled fading: HC at the powers
@@ -117,20 +191,34 @@ def decode_slots(
     except at exact ties, which the decode property test exempts.  LC needs
     HC's cancellation only where an HC stream is superposed on LC's phase
     (lc.p_h_d + lc.p_h_r > 0, elementwise, so the powers may be per-slot
-    arrays)."""
-    h2, g2 = channel_gains(budget, *slots)
-    gam_h, gam_l = sinr(h2, g2, hc, lc, budget.sigma_n2)
+    arrays).
+
+    The outcomes are int8 views of ``xi_h`` and ``xi_l`` of ``buffers``,
+    or of fresh buffers without one; the slots are left unchanged."""
+    buf = SlotBuffers(len(slots[0])) if buffers is None else buffers
+    h2, g2 = channel_gains(budget, *slots, out=(buf.h2, buf.g2, buf.work_a))
+    gam_h, gam_l = sinr(h2, g2, hc, lc, budget.sigma_n2,
+                        out=(buf.q_h, buf.q_l, buf.work_a, buf.work_b))
     with np.errstate(over="ignore"):
-        ok_h = gam_h >= np.expm1(np.log(2.0) * (targets.R_h / cfg.B))
-        ok_l = gam_l >= np.expm1(np.log(2.0) * (targets.R_l / cfg.B))
-    ok_l &= ok_h | (lc.p_h_d + lc.p_h_r <= 0.0)
+        ok_h = np.greater_equal(gam_h, np.expm1(np.log(2.0) * (targets.R_h / cfg.B)),
+                                out=buf.xi_h)
+        ok_l = np.greater_equal(gam_l, np.expm1(np.log(2.0) * (targets.R_l / cfg.B)),
+                                out=buf.xi_l)
+    # LC decodes only after HC where an HC stream shares its phase
+    np.logical_and(ok_l, ok_h, out=ok_l, where=np.logical_not(lc.p_h_d + lc.p_h_r <= 0.0))
     return ok_h.view(np.int8), ok_l.view(np.int8)
 
 
 def sample_arrivals(
-    cfg: SystemConfig, n_slots: int, rng: np.random.Generator
+    cfg: SystemConfig, n_slots: int, rng: np.random.Generator,
+    buffers: SlotBuffers | None = None,
 ) -> np.ndarray:
-    return rng.poisson(cfg.A_bar, n_slots).astype(float)
+    """Poisson packet arrivals per slot, as floats in ``arrivals`` of
+    ``buffers``, or of fresh buffers without one."""
+    buf = SlotBuffers(n_slots) if buffers is None else buffers
+    # Generator.poisson has no out=, so its integer draws are copied in
+    np.copyto(buf.arrivals, rng.poisson(cfg.A_bar, n_slots))
+    return buf.arrivals
 
 
 def run_queues(
@@ -140,54 +228,65 @@ def run_queues(
     service_l: np.ndarray,
     xi_h: np.ndarray,
     xi_l: np.ndarray,
+    buffers: SlotBuffers | None = None,
 ) -> QueueTrace:
-    """Drive both queue recursions and attach summary statistics."""
-    a_h, a_l = cfg.alpha * arrivals, (1.0 - cfg.alpha) * arrivals
-    q_h = _lindley(service_h, a_h)
-    q_l = _lindley(service_l, a_l)
+    """Drive both queue recursions and attach summary statistics.  The
+    queue lengths go to ``q_h`` and ``q_l`` of ``buffers``, or of fresh
+    buffers without one; the trace holds the inputs as given."""
+    buf = SlotBuffers(len(arrivals)) if buffers is None else buffers
+    a_h = np.multiply(cfg.alpha, arrivals, out=buf.work_a)
+    a_l = np.multiply(1.0 - cfg.alpha, arrivals, out=buf.work_b)
     trace = QueueTrace(
         arrivals=arrivals,
-        q_h=q_h,
-        q_l=q_l,
+        q_h=_lindley(service_h, a_h, out=buf.q_h, work=buf.work_c),
+        q_l=_lindley(service_l, a_l, out=buf.q_l, work=buf.work_c),
         xi_h=xi_h,
         xi_l=xi_l,
         alpha=cfg.alpha,
         a_bar=cfg.A_bar,
     )
-    _summarize(trace, a_h, a_l)
+    _summarize(trace, a_h, a_l, buf.work_c)
     return trace
 
 
 def simulate_phases(
     cfg: SystemConfig, budget: LinkBudget, hc: PowerAllocation, lc: PowerAllocation,
     rates: RateTargets, shares: tuple[float, float], n_slots: int, seed,
+    buffers: SlotBuffers | None = None,
 ) -> QueueTrace:
     """Simulate ``n_slots`` slots serving HC at powers ``hc`` and rate
     ``rates.R_h`` in a share ``shares[0]`` of each slot, and LC at ``lc``,
     ``rates.R_l`` and ``shares[1]``: xi * share * T/M * R packets per slot.
     Arrivals, blockage and pointing errors come, in that order, from one
     generator seeded by ``seed`` (any value ``numpy.random.default_rng``
-    accepts)."""
+    accepts).  Every stage works in ``buffers``, whose arrays the trace
+    then views, or in fresh buffers without one."""
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
+    if buffers is None:
+        buffers = SlotBuffers(n_slots)
+    elif buffers.n_slots != n_slots:
+        raise ValueError(f"buffers hold {buffers.n_slots} slots, not {n_slots}")
     rng = np.random.default_rng(seed)
-    arrivals = sample_arrivals(cfg, n_slots, rng)
-    slots = sample_channel_slots(cfg, n_slots, rng)
-    xi_h, xi_l = decode_slots(cfg, budget, hc, lc, rates, *slots)
+    arrivals = sample_arrivals(cfg, n_slots, rng, buffers=buffers)
+    slots = sample_channel_slots(cfg, n_slots, rng, buffers=buffers)
+    xi_h, xi_l = decode_slots(cfg, budget, hc, lc, rates, *slots, buffers=buffers)
     tm = cfg.T / cfg.M
-    service_h = xi_h * (shares[0] * tm * rates.R_h)
-    service_l = xi_l * (shares[1] * tm * rates.R_l)
-    return run_queues(cfg, arrivals, service_h, service_l, xi_h, xi_l)
+    service_h = np.multiply(xi_h, shares[0] * tm * rates.R_h, out=buffers.h2)
+    service_l = np.multiply(xi_l, shares[1] * tm * rates.R_l, out=buffers.g2)
+    return run_queues(cfg, arrivals, service_h, service_l, xi_h, xi_l, buffers=buffers)
 
 
 def simulate(
-    cfg: SystemConfig, budget: LinkBudget, solve: SolveResult, n_slots: int, seed
+    cfg: SystemConfig, budget: LinkBudget, solve: SolveResult, n_slots: int, seed,
+    buffers: SlotBuffers | None = None,
 ) -> QueueTrace:
     """Simulate the MC-SC queueing system at the operating point of ``solve``:
     both streams superposed in the whole slot, HC decoded first and LC
     after cancelling it.  Deterministic under ``seed``; ``n_slots`` < 1
-    raises ``ValueError``."""
-    return simulate_phases(cfg, budget, solve.p, solve.p, solve.R, (1.0, 1.0), n_slots, seed)
+    raises ``ValueError``.  ``buffers`` as in ``simulate_phases``."""
+    return simulate_phases(cfg, budget, solve.p, solve.p, solve.R, (1.0, 1.0), n_slots, seed,
+                           buffers=buffers)
 
 
 def stability_diagnostic(trace: QueueTrace) -> dict[str, bool]:

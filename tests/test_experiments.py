@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+import threading
 from functools import partial
 
 import numpy as np
@@ -36,6 +38,7 @@ from risthz.experiments import (
     feasibility_region,
     misalignment_sweep,
     operating_point,
+    simulate_time_sharing,
     strict_hc_sweep,
     time_sharing_point,
 )
@@ -525,11 +528,86 @@ class TestDelaySweep:
         assert res.records[0]["scheme"] == "time_sharing"
         assert math.isfinite(res.records[0]["tau_l"])
 
+    def test_schemes_share_one_pool(self, cfg, monkeypatch):
+        # both schemes' points go through one sweep engine run, and so
+        # through one pool, in the order and under the seeds of two sweeps
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        grid = [0.2, 0.6]
+        want = [rec for scheme in experiments.SCHEMES
+                for rec in delay_sweep(cfg, grid, scheme, n_slots=500, n_reps=2,
+                                       master_seed=4).records]
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        got = delay_sweep(cfg, grid, experiments.SCHEMES, n_slots=500, n_reps=2,
+                          master_seed=4, jobs=2)
+        assert pools == [2]
+        assert got.records == want
+
+    def test_records_match_fresh_buffer_reference(self, cfg):
+        # the thread's workspace is made again whenever n_slots changes
+        def reference(alpha, n_slots, seed, n_reps):
+            c = cfg.with_(alpha=alpha)
+            b = derive_link_budget(c)
+            traces = [simulate_time_sharing(c, b, time_sharing_point(c, alpha), n_slots,
+                                            np.random.SeedSequence([seed, 0, rep]))
+                      for rep in range(n_reps)]
+            rec = {"scheme": "time_sharing", "alpha": alpha}
+            for key in ("tau_h", "tau_l", "peak_q_h_norm", "peak_q_l_norm",
+                        "outage_rate_h", "outage_rate_l"):
+                rec[key] = float(np.mean([getattr(t, key) for t in traces]))
+            verdict = queueing.stability_diagnostic(traces[0])
+            return {**rec, "stable_h": int(verdict["hc"]), "stable_l": int(verdict["lc"])}
+
+        for n_slots, seed in ((2000, 1), (3000, 2), (2000, 3)):
+            got = delay_sweep(cfg, [0.4], "time_sharing", n_slots=n_slots, n_reps=3,
+                              master_seed=seed)
+            assert got.records == [reference(0.4, n_slots, seed, 3)]
+
+    def test_concurrent_sweeps_match_serial(self, cfg):
+        # each thread runs in its own workspace; a shared one would mix
+        # the two sweeps' slots without raising
+        def sweep(seed, start=None):
+            if start is not None:
+                start.wait()
+            return delay_sweep(cfg, [0.2, 0.4, 0.6, 0.8], experiments.SCHEMES,
+                               n_slots=4000, n_reps=3, master_seed=seed).records
+
+        want = {seed: sweep(seed) for seed in (11, 12, 13)}  # more threads than cores
+        got = {}
+        start = threading.Barrier(len(want))
+        threads = [threading.Thread(target=lambda s=seed: got.__setitem__(s, sweep(s, start)))
+                   for seed in want]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the interpreter over within each simulation
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want
+
     def test_unknown_scheme_rejected(self, cfg, monkeypatch):
         with pytest.raises(ValueError, match="scheme"):
             delay_sweep(cfg, [0.1], "bogus", n_slots=500)
         with pytest.raises(ValueError, match="scheme"):
             delay_sweep(cfg, [], "bogus")
+        with pytest.raises(ValueError, match="'bogus'"):
+            delay_sweep(cfg, [0.1], ("mcsc", "bogus"), n_slots=500)
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool started")

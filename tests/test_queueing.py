@@ -1,6 +1,7 @@
 """Queue-recursion, simulation, and stability-diagnostic tests."""
 
 import math
+import threading
 from functools import partial
 
 import numpy as np
@@ -9,16 +10,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from risthz.channel import derive_link_budget
+from risthz.channel import channel_gains, derive_link_budget
 from risthz.config import SystemConfig
-from risthz.experiments import simulate_time_sharing, time_sharing_point
+from risthz.experiments import delay_sweep, simulate_time_sharing, time_sharing_point
 from risthz.optimizer import sca_solve
 from risthz.queueing import (
     InsufficientDataError,
+    SlotBuffers,
     _lindley,
+    decode_slots,
     run_queues,
+    sample_channel_slots,
     simulate,
     stability_diagnostic,
+    thread_buffers,
 )
 
 
@@ -180,6 +185,78 @@ class TestSimulate:
         observed = float(np.mean(trace.xi_h))
         tol = 4 * math.sqrt(p_hat * (1 - p_hat) / 100_000)
         assert abs(observed - p_hat) < tol
+
+
+TRACE_ARRAYS = ("arrivals", "q_h", "q_l", "xi_h", "xi_l")
+SUMMARY = ("mean_q_h", "mean_q_l", "tau_h", "tau_l", "peak_q_h_norm", "peak_q_l_norm",
+           "outage_rate_h", "outage_rate_l")
+
+
+def entries(cfg, budget):
+    """The two public simulations at the default operating points."""
+    return {
+        "simulate": partial(simulate, cfg, budget, sca_solve(cfg, budget)),
+        "simulate_time_sharing": partial(simulate_time_sharing, cfg, budget,
+                                         time_sharing_point(cfg, cfg.alpha)),
+    }
+
+
+class TestSlotBuffers:
+    def test_one_workspace_per_thread_and_length(self):
+        a = thread_buffers(1500)
+        assert thread_buffers(1500) is a
+        b = thread_buffers(1700)
+        assert b is not a and len(b.q_h) == 1700
+        assert thread_buffers(1500) is not a  # made again for the new length
+        other = []
+        worker = threading.Thread(target=lambda: other.append(thread_buffers(1500)))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert other[0] is not thread_buffers(1500)
+
+    @pytest.mark.parametrize("entry", ["simulate", "simulate_time_sharing"])
+    def test_workspace_trace_equals_fresh_trace(self, cfg, budget, entry):
+        run = entries(cfg, budget)[entry]
+        work = SlotBuffers(3000)
+        for seed in (4, 5):  # the second run overwrites the first in place
+            got, want = run(3000, seed, buffers=work), run(3000, seed)
+            for name in TRACE_ARRAYS:
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+                assert np.shares_memory(getattr(got, name), getattr(work, name)), name
+            assert [getattr(got, k) for k in SUMMARY] == [getattr(want, k) for k in SUMMARY]
+
+    @pytest.mark.parametrize("entry", ["simulate", "simulate_time_sharing"])
+    def test_public_trace_owns_its_arrays(self, cfg, budget, entry):
+        runs = entries(cfg, budget)
+        trace = runs[entry](2000, seed=1)
+        kept = {name: getattr(trace, name).copy() for name in TRACE_ARRAYS}
+        for run in runs.values():
+            run(2000, seed=2)
+            run(3000, seed=3)
+            run(2000, seed=4, buffers=thread_buffers(2000))
+        delay_sweep(cfg, [0.4], "mcsc", n_slots=2000, n_reps=2)
+        for name in TRACE_ARRAYS:
+            assert np.array_equal(getattr(trace, name), kept[name]), name
+
+    def test_decode_and_gains_leave_inputs_unchanged(self, cfg, budget):
+        p = sca_solve(cfg, budget)
+        work = SlotBuffers(1000)
+        # the pipeline's own layout: the slots sit in the workspace they decode in
+        slots = sample_channel_slots(cfg, 1000, np.random.default_rng(8), buffers=work)
+        kept = [x.copy() for x in slots]
+        want = decode_slots(cfg, budget, p.p, p.p, p.R, *kept)
+        got = decode_slots(cfg, budget, p.p, p.p, p.R, *slots, buffers=work)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        gains = channel_gains(budget, *slots, out=(work.h2, work.g2, work.work_a))
+        assert all(np.array_equal(a, b) for a, b in zip(gains, channel_gains(budget, *kept)))
+        for before, after in zip(kept, slots):
+            assert np.array_equal(before, after)
+
+    def test_buffers_of_another_length_rejected(self, cfg, budget):
+        with pytest.raises(ValueError, match="2000 slots, not 1000"):
+            simulate(cfg, budget, sca_solve(cfg, budget), 1000, seed=0,
+                     buffers=SlotBuffers(2000))
 
 
 class TestStabilityDiagnostic:

@@ -114,18 +114,20 @@ def test_sweep_result_has_records():
 
 @pytest.mark.parametrize("scheme", ["mcsc", "time_sharing"])
 def test_slot_pipeline_reaches_wrapped_stages(monkeypatch, scheme):
-    # the tracer wraps these by module attribute and counts queueing.slots
-    # from run_queues: a pipeline that bound or inlined them would zero it
-    from risthz import queueing
+    # the tracer wraps these by module attribute, at every module that
+    # binds them, and counts queueing.slots from run_queues: a pipeline
+    # that bound, fused or inlined a stage would leave it uncounted
+    from risthz import experiments, queueing
     from risthz.config import SystemConfig
-    from risthz.experiments import delay_sweep
 
+    entry = "simulate" if scheme == "mcsc" else "simulate_time_sharing"
+    stages = ("sample_arrivals", "sample_channel_slots", "decode_slots", "run_queues")
     calls = {}
-    for name in ("decode_slots", "run_queues"):
-        def counted(*args, _fn=getattr(queueing, name), _name=name, **kwargs):
+    for module, name in [(queueing, stage) for stage in stages] + [(experiments, entry)]:
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(queueing, name, counted)
-    delay_sweep(SystemConfig(), [0.5], scheme, n_slots=2000, n_reps=4, master_seed=7, jobs=1)
-    assert calls == {"decode_slots": 4, "run_queues": 4}
-
+        monkeypatch.setattr(module, name, counted)
+    experiments.delay_sweep(SystemConfig(), [0.5], scheme, n_slots=2000, n_reps=4,
+                            master_seed=7, jobs=1)
+    assert calls == dict.fromkeys((*stages, entry), 4)
