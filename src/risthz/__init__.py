@@ -31,7 +31,7 @@ from .optimizer import (
     structural_solve,
     update_mu,
 )
-from .queueing import QueueTrace, simulate, stability_diagnostic
+from .queueing import QueueTrace, SlotBuffers, simulate, stability_diagnostic
 
 __all__ = [
     "ConfigError",
@@ -41,6 +41,7 @@ __all__ = [
     "QuadTransformState",
     "QueueTrace",
     "RateTargets",
+    "SlotBuffers",
     "SolveResult",
     "SystemConfig",
     "channel_gains",

@@ -38,6 +38,7 @@ from .config import ConfigError, SystemConfig
 from .mcsc import PowerAllocation, RateTargets, outage_probs
 from .optimizer import Frontier, _golden_max, hc_service_rate, lc_service_rate, sca_solve
 from .queueing import (
+    MIN_DIAGNOSTIC_SLOTS,
     SlotBuffers,
     simulate,
     simulate_phases,
@@ -275,9 +276,9 @@ def adapt_beamwidth(cfg: SystemConfig, target_P_out_h: float) -> tuple[float, fl
         raise ValueError("target_P_out_h must lie in (0, 1]")
     budget = derive_link_budget(cfg)
     fail_d, a_U = outage_probs(cfg, budget).P_out_l, budget.a_U
-    ratio = target_P_out_h / fail_d
-    if ratio >= 1.0:
+    if target_P_out_h >= fail_d:  # also when the direct path never fails
         return W_R_MIN, ris_gain(cfg.d_RU, W_R_MIN)
+    ratio = target_P_out_h / fail_d
     if ratio <= cfg.q_r:
         raise BeamAdaptationError(
             f"infeasible target {target_P_out_h}: direct-path failure "
@@ -403,18 +404,16 @@ def _strict_hc_point(
 
 
 def simulate_time_sharing(
-    cfg: SystemConfig, budget, tsp: TimeSharingPoint, n_slots: int, seed,
-    buffers: SlotBuffers | None = None,
+    cfg: SystemConfig, budget, tsp: TimeSharingPoint, buffers: SlotBuffers, seed
 ):
-    """Queue simulation under the time-sharing baseline
-    (``queueing.simulate_phases``): HC is served in a share lam of each
+    """Queue simulation under the time-sharing baseline in ``buffers``
+    (see ``queueing.simulate_phases``): HC is served in a share lam of each
     slot at its phase's split with no LC interference, LC in the
     remaining 1 - lam on the direct path at P_max with no HC to cancel.
-    Deterministic under ``seed``; ``n_slots`` < 1 raises ``ValueError``.
-    ``buffers`` as in ``simulate_phases``."""
+    Deterministic under ``seed``."""
     hc, lc = PowerAllocation(tsp.p_h_d, tsp.p_h_r, 0.0), PowerAllocation(0.0, 0.0, cfg.P_max)
     return simulate_phases(cfg, budget, hc, lc, RateTargets(tsp.R_h, tsp.R_l),
-                           (tsp.lam, 1.0 - tsp.lam), n_slots, seed, buffers=buffers)
+                           (tsp.lam, 1.0 - tsp.lam), buffers, seed)
 
 
 SCHEMES = ("mcsc", "time_sharing")
@@ -436,17 +435,16 @@ def _delay_point(
     scheme, index = schemes[point // n_grid], point % n_grid
     cfg_a = cfg.with_(alpha=alpha)
     budget = derive_link_budget(cfg_a)
-    buffers = thread_buffers(n_slots)
     if scheme == "mcsc":
-        run = partial(simulate, cfg_a, budget, sca_solve(cfg_a, budget), buffers=buffers)
+        run = partial(simulate, cfg_a, budget, sca_solve(cfg_a, budget))
     else:
-        run = partial(simulate_time_sharing, cfg_a, budget, time_sharing_point(cfg_a, alpha),
-                      buffers=buffers)
+        run = partial(simulate_time_sharing, cfg_a, budget, time_sharing_point(cfg_a, alpha))
+    buffers = thread_buffers(n_slots)
     keys = ("tau_h", "tau_l", "peak_q_h_norm", "peak_q_l_norm",
             "outage_rate_h", "outage_rate_l")
     vals = []  # each rep's summary values; its trace is overwritten by the next rep
     for rep in range(n_reps):
-        trace = run(n_slots, np.random.SeedSequence([master_seed, index, rep]))
+        trace = run(buffers, np.random.SeedSequence([master_seed, index, rep]))
         if rep == 0:
             verdict = stability_diagnostic(trace)
         vals.append([getattr(trace, key) for key in keys])
@@ -471,12 +469,17 @@ def delay_sweep(
     configured arrival rate, for a transmission scheme (``mcsc`` or
     ``time_sharing``) or a sequence of them, whose records follow one
     another scheme by scheme from one run of the sweep engine.  Point i of
-    the grid seeds the same way under every scheme.  Any other scheme
-    raises ``ValueError`` before a point runs."""
+    the grid seeds the same way under every scheme.  Any other scheme,
+    ``n_slots`` < ``MIN_DIAGNOSTIC_SLOTS`` or ``n_reps`` < 1 raises
+    ``ValueError`` before a point runs."""
     schemes = (scheme,) if isinstance(scheme, str) else tuple(scheme)
     for name in schemes:
         if name not in SCHEMES:
             raise ValueError(f"unknown scheme {name!r}")
+    if n_slots < MIN_DIAGNOSTIC_SLOTS:
+        raise ValueError(f"n_slots must be >= {MIN_DIAGNOSTIC_SLOTS}, got {n_slots}")
+    if n_reps < 1:
+        raise ValueError(f"n_reps must be >= 1, got {n_reps}")
     grid = list(alpha_grid)
     point = partial(_delay_point, cfg, schemes, len(grid), n_slots, n_reps, master_seed)
     return _sweep(point, grid * len(schemes), jobs)

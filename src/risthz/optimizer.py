@@ -261,16 +261,15 @@ def solve_subproblem(
     mu: QuadTransformState,
     cfg: SystemConfig,
     budget: LinkBudget,
-    outage: OutageProbs | None = None,
+    outage: OutageProbs,
 ) -> SolveResult:
-    """Maximize the surrogate objective over the power simplex at fixed mu.
+    """Maximize the surrogate objective over the power simplex at fixed mu,
+    with the closed-form ``outage`` of ``cfg`` and ``budget``.
 
     The power budget binds and p_l_r = 0, leaving the 2-simplex
     {p_h_d + p_h_r + p_l_d = P_max}.  Nested golden-section search is
     exact here because the surrogate is jointly concave in the powers.
     """
-    if outage is None:
-        outage = outage_probs(cfg, budget)
     P = cfg.P_max
     tol = 1e-8 * max(P, 1e-30)
     at = surrogate_objective(mu, cfg, budget, outage)

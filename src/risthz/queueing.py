@@ -21,22 +21,16 @@ U_t = max(U_{t-1} + a_{t-1} - s_t, 0) with a_{-1} = 0, whose closed form
 
 evaluates a whole trace with array operations and no slot loop.
 
-Given a ``SlotBuffers`` workspace, every stage writes into its arrays
-with ``out=`` and allocates no per-slot array, except for the integer
-Poisson draws, which numpy cannot write in place.  Who owns what:
-
-* A public call given no ``buffers`` (``simulate``, ``simulate_phases``,
-  ``experiments.simulate_time_sharing`` or one stage) runs in fresh
-  buffers, so the caller owns every array it gets back.
-* A call given ``buffers`` returns views of them, which the next call
-  given the same buffers overwrites.  A stage writes only the arrays
-  that ``SlotBuffers`` lists for it and leaves its inputs unchanged.
-* ``experiments.delay_sweep`` runs every replication in the workspace
-  of its thread (``thread_buffers``) and keeps only each replication's
-  summary, so a delay point allocates no per-slot array after the
-  thread's first one.  One workspace per thread makes concurrent sweeps
-  safe; it holds 10 float and 4 bool arrays, 84 bytes per slot (1.7 MB
-  at 20,000 slots), until the thread ends or asks for another length.
+Every simulation runs in the ``SlotBuffers`` workspace its caller
+passes, which also fixes its length.  Each stage writes only the arrays
+that ``SlotBuffers`` lists for it, with ``out=``, leaves its inputs
+unchanged and allocates no per-slot array except the integer Poisson
+draws, which numpy cannot write in place.  A trace views its workspace
+until the next simulation there.  ``experiments.delay_sweep`` runs every
+replication in its thread's workspace (``thread_buffers``) and keeps
+only each one's summary; one workspace per thread makes concurrent
+sweeps safe, at 10 float and 4 int8 arrays, 84 bytes per slot (1.7 MB
+at 20,000 slots), held until the thread ends or asks for another length.
 """
 
 from __future__ import annotations
@@ -55,6 +49,7 @@ from .optimizer import SolveResult
 WARMUP_FRAC = 0.1  # leading share of each trace left out of the means
 SLOPE_TOL_FACTOR = 1e-3  # unstable if fitted slope > 1e-3 * A_bar packets/slot^2
 MIN_DIAGNOSTIC_SLOTS = 100  # shortest trace given a stability verdict
+_TINY = np.nextafter(0.0, 1.0)  # least positive double
 
 
 class InsufficientDataError(ValueError):
@@ -85,21 +80,21 @@ class QueueTrace:
 
 
 class SlotBuffers:
-    """The per-slot arrays of one simulation, allocated once for
-    ``n_slots`` slots and overwritten by the next simulation given them.
+    """The per-slot arrays of one simulation of ``n_slots`` >= 1 slots,
+    overwritten by the next simulation in them.
 
     Each array and the stages that write it, in pipeline order:
 
     ===============  =====================================================
     arrivals         ``sample_arrivals``
-    beta_d, beta_r   ``sample_channel_slots`` (bool blockage states)
+    beta_d, beta_r   ``sample_channel_slots`` (int8 blockage states)
     eps_d, eps_r     ``sample_channel_slots`` (eps_d first holds the
                      blockage draws)
     h2, g2           ``decode_slots`` (channel gains), then
                      ``simulate_phases`` (service amounts)
     q_h, q_l         ``decode_slots`` (SINRs), then ``run_queues`` (queue
                      lengths)
-    xi_h, xi_l       ``decode_slots`` (bool decoding outcomes)
+    xi_h, xi_l       ``decode_slots`` (int8 decoding outcomes)
     work_a, work_b   ``decode_slots`` (fading and partial sums), then
                      ``run_queues`` (each class's share of the arrivals)
     work_c           ``run_queues`` (Lindley floors, summary differences)
@@ -108,14 +103,16 @@ class SlotBuffers:
 
     FLOATS = ("arrivals", "eps_d", "eps_r", "h2", "g2", "q_h", "q_l",
               "work_a", "work_b", "work_c")
-    BOOLS = ("beta_d", "beta_r", "xi_h", "xi_l")
+    INDICATORS = ("beta_d", "beta_r", "xi_h", "xi_l")
 
     def __init__(self, n_slots: int):
+        if n_slots < 1:
+            raise ValueError("n_slots must be >= 1")
         self.n_slots = n_slots
         for name in self.FLOATS:
             setattr(self, name, np.empty(n_slots))
-        for name in self.BOOLS:
-            setattr(self, name, np.empty(n_slots, dtype=bool))
+        for name in self.INDICATORS:
+            setattr(self, name, np.empty(n_slots, dtype=np.int8))
 
 
 _thread_state = threading.local()
@@ -124,10 +121,10 @@ _thread_state = threading.local()
 def thread_buffers(n_slots: int) -> SlotBuffers:
     """The calling thread's slot workspace for ``n_slots`` slots, made on
     the thread's first call and again only when ``n_slots`` changes."""
-    buffers = getattr(_thread_state, "buffers", None)
-    if buffers is None or buffers.n_slots != n_slots:
-        buffers = _thread_state.buffers = SlotBuffers(n_slots)
-    return buffers
+    work = getattr(_thread_state, "buffers", None)
+    if work is None or work.n_slots != n_slots:
+        work = _thread_state.buffers = SlotBuffers(n_slots)
+    return work
 
 
 def _lindley(service: np.ndarray, arrivals: np.ndarray, out=None, work=None) -> np.ndarray:
@@ -163,61 +160,51 @@ def _summarize(trace: QueueTrace, a_split_h: np.ndarray, a_split_l: np.ndarray,
 
 
 def sample_channel_slots(
-    cfg: SystemConfig, n_slots: int, rng: np.random.Generator,
-    buffers: SlotBuffers | None = None,
+    cfg: SystemConfig, rng: np.random.Generator, buf: SlotBuffers
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-slot i.i.d. blockage indicators (int8 views of ``beta_d`` and
-    ``beta_r``) and Rayleigh pointing errors (``eps_d``, ``eps_r``) of
-    ``buffers``, or of fresh buffers without one.  A Rayleigh draw is
-    sigma sqrt(2 E) with E standard exponential, numpy's own formula."""
-    buf = SlotBuffers(n_slots) if buffers is None else buffers
+    """Per-slot i.i.d. blockage indicators (``beta_d``, ``beta_r``) and
+    Rayleigh pointing errors (``eps_d``, ``eps_r``) of ``buf``.  A Rayleigh
+    draw is sigma sqrt(2 E) with E standard exponential, numpy's own formula."""
     for beta, q in ((buf.beta_d, cfg.q_d), (buf.beta_r, cfg.q_r)):
         np.greater_equal(rng.random(out=buf.eps_d), q, out=beta)
     for eps, sigma in ((buf.eps_d, cfg.sigma_md), (buf.eps_r, cfg.sigma_mr)):
         rng.standard_exponential(out=eps)
         np.multiply(sigma, np.sqrt(np.multiply(eps, 2.0, out=eps), out=eps), out=eps)
-    return buf.beta_d.view(np.int8), buf.beta_r.view(np.int8), buf.eps_d, buf.eps_r
+    return buf.beta_d, buf.beta_r, buf.eps_d, buf.eps_r
 
 
 def decode_slots(
     cfg: SystemConfig, budget: LinkBudget, hc: PowerAllocation, lc: PowerAllocation,
-    targets: RateTargets, *slots: np.ndarray, buffers: SlotBuffers | None = None,
+    targets: RateTargets, *slots: np.ndarray, buf: SlotBuffers,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Decoding outcomes (xi_h, xi_l) over the sampled channel ``slots``
-    (beta_d, beta_r, eps_d, eps_r) at the sampled fading: HC at the powers
-    ``hc`` of its phase, LC at the powers ``lc`` of its phase (``mcsc.sinr``),
-    each against its target SINR 2^(R/B) - 1 (infinite where that overflows;
-    R may be per-slot).  This equals the rate test B log2(1 + SINR) >= R
-    except at exact ties, which the decode property test exempts.  LC needs
-    HC's cancellation only where an HC stream is superposed on LC's phase
+    """Decoding outcomes (``xi_h``, ``xi_l`` of ``buf``) over the sampled
+    channel ``slots`` (beta_d, beta_r, eps_d, eps_r) at the sampled fading:
+    HC at the powers ``hc`` of its phase, LC at the powers ``lc`` of its
+    phase (``mcsc.sinr``), each against its target SINR 2^(R/B) - 1
+    (infinite where that overflows, and at least the least positive double
+    where R > 0, so SINR 0 never meets a positive rate; R may be per-slot).
+    This equals the rate test B log2(1 + SINR) >= R except at exact ties,
+    which the decode property test exempts.  LC needs HC's cancellation
+    only where an HC stream is superposed on LC's phase
     (lc.p_h_d + lc.p_h_r > 0, elementwise, so the powers may be per-slot
-    arrays).
-
-    The outcomes are int8 views of ``xi_h`` and ``xi_l`` of ``buffers``,
-    or of fresh buffers without one; the slots are left unchanged."""
-    buf = SlotBuffers(len(slots[0])) if buffers is None else buffers
+    arrays)."""
     h2, g2 = channel_gains(budget, *slots, out=(buf.h2, buf.g2, buf.work_a))
     gam_h, gam_l = sinr(h2, g2, hc, lc, budget.sigma_n2,
                         out=(buf.q_h, buf.q_l, buf.work_a, buf.work_b))
-    with np.errstate(over="ignore"):
-        ok_h = np.greater_equal(gam_h, np.expm1(np.log(2.0) * (targets.R_h / cfg.B)),
-                                out=buf.xi_h)
-        ok_l = np.greater_equal(gam_l, np.expm1(np.log(2.0) * (targets.R_l / cfg.B)),
-                                out=buf.xi_l)
+    for gam, rate, ok in ((gam_h, targets.R_h, buf.xi_h), (gam_l, targets.R_l, buf.xi_l)):
+        with np.errstate(over="ignore"):
+            target = np.expm1(np.log(2.0) * (rate / cfg.B))
+        np.greater_equal(gam, np.where(rate > 0.0, np.maximum(target, _TINY), target), out=ok)
     # LC decodes only after HC where an HC stream shares its phase
-    np.logical_and(ok_l, ok_h, out=ok_l, where=np.logical_not(lc.p_h_d + lc.p_h_r <= 0.0))
-    return ok_h.view(np.int8), ok_l.view(np.int8)
+    np.logical_and(buf.xi_l, buf.xi_h, out=buf.xi_l,
+                   where=np.logical_not(lc.p_h_d + lc.p_h_r <= 0.0))
+    return buf.xi_h, buf.xi_l
 
 
-def sample_arrivals(
-    cfg: SystemConfig, n_slots: int, rng: np.random.Generator,
-    buffers: SlotBuffers | None = None,
-) -> np.ndarray:
-    """Poisson packet arrivals per slot, as floats in ``arrivals`` of
-    ``buffers``, or of fresh buffers without one."""
-    buf = SlotBuffers(n_slots) if buffers is None else buffers
+def sample_arrivals(cfg: SystemConfig, rng: np.random.Generator, buf: SlotBuffers) -> np.ndarray:
+    """Poisson packet arrivals per slot, as floats in ``arrivals`` of ``buf``."""
     # Generator.poisson has no out=, so its integer draws are copied in
-    np.copyto(buf.arrivals, rng.poisson(cfg.A_bar, n_slots))
+    np.copyto(buf.arrivals, rng.poisson(cfg.A_bar, buf.n_slots))
     return buf.arrivals
 
 
@@ -228,12 +215,10 @@ def run_queues(
     service_l: np.ndarray,
     xi_h: np.ndarray,
     xi_l: np.ndarray,
-    buffers: SlotBuffers | None = None,
+    buf: SlotBuffers,
 ) -> QueueTrace:
-    """Drive both queue recursions and attach summary statistics.  The
-    queue lengths go to ``q_h`` and ``q_l`` of ``buffers``, or of fresh
-    buffers without one; the trace holds the inputs as given."""
-    buf = SlotBuffers(len(arrivals)) if buffers is None else buffers
+    """Drive both queue recursions into ``q_h`` and ``q_l`` of ``buf`` and
+    attach summary statistics; the trace holds the inputs as given."""
     a_h = np.multiply(cfg.alpha, arrivals, out=buf.work_a)
     a_l = np.multiply(1.0 - cfg.alpha, arrivals, out=buf.work_b)
     trace = QueueTrace(
@@ -251,42 +236,34 @@ def run_queues(
 
 def simulate_phases(
     cfg: SystemConfig, budget: LinkBudget, hc: PowerAllocation, lc: PowerAllocation,
-    rates: RateTargets, shares: tuple[float, float], n_slots: int, seed,
-    buffers: SlotBuffers | None = None,
+    rates: RateTargets, shares: tuple[float, float], buffers: SlotBuffers, seed,
 ) -> QueueTrace:
-    """Simulate ``n_slots`` slots serving HC at powers ``hc`` and rate
-    ``rates.R_h`` in a share ``shares[0]`` of each slot, and LC at ``lc``,
-    ``rates.R_l`` and ``shares[1]``: xi * share * T/M * R packets per slot.
-    Arrivals, blockage and pointing errors come, in that order, from one
-    generator seeded by ``seed`` (any value ``numpy.random.default_rng``
-    accepts).  Every stage works in ``buffers``, whose arrays the trace
-    then views, or in fresh buffers without one."""
-    if n_slots < 1:
-        raise ValueError("n_slots must be >= 1")
-    if buffers is None:
-        buffers = SlotBuffers(n_slots)
-    elif buffers.n_slots != n_slots:
-        raise ValueError(f"buffers hold {buffers.n_slots} slots, not {n_slots}")
+    """Simulate ``buffers.n_slots`` slots serving HC at powers ``hc`` and
+    rate ``rates.R_h`` in a share ``shares[0]`` of each slot, and LC at
+    ``lc``, ``rates.R_l`` and ``shares[1]``: xi * share * T/M * R packets
+    per slot.  Arrivals, blockage and pointing errors come, in that order,
+    from one generator seeded by ``seed`` (any value
+    ``numpy.random.default_rng`` accepts).  Every stage works in
+    ``buffers``, whose arrays the trace views until the next simulation
+    there."""
     rng = np.random.default_rng(seed)
-    arrivals = sample_arrivals(cfg, n_slots, rng, buffers=buffers)
-    slots = sample_channel_slots(cfg, n_slots, rng, buffers=buffers)
-    xi_h, xi_l = decode_slots(cfg, budget, hc, lc, rates, *slots, buffers=buffers)
+    arrivals = sample_arrivals(cfg, rng, buffers)
+    slots = sample_channel_slots(cfg, rng, buffers)
+    xi_h, xi_l = decode_slots(cfg, budget, hc, lc, rates, *slots, buf=buffers)
     tm = cfg.T / cfg.M
     service_h = np.multiply(xi_h, shares[0] * tm * rates.R_h, out=buffers.h2)
     service_l = np.multiply(xi_l, shares[1] * tm * rates.R_l, out=buffers.g2)
-    return run_queues(cfg, arrivals, service_h, service_l, xi_h, xi_l, buffers=buffers)
+    return run_queues(cfg, arrivals, service_h, service_l, xi_h, xi_l, buffers)
 
 
 def simulate(
-    cfg: SystemConfig, budget: LinkBudget, solve: SolveResult, n_slots: int, seed,
-    buffers: SlotBuffers | None = None,
+    cfg: SystemConfig, budget: LinkBudget, solve: SolveResult, buffers: SlotBuffers, seed,
 ) -> QueueTrace:
-    """Simulate the MC-SC queueing system at the operating point of ``solve``:
-    both streams superposed in the whole slot, HC decoded first and LC
-    after cancelling it.  Deterministic under ``seed``; ``n_slots`` < 1
-    raises ``ValueError``.  ``buffers`` as in ``simulate_phases``."""
-    return simulate_phases(cfg, budget, solve.p, solve.p, solve.R, (1.0, 1.0), n_slots, seed,
-                           buffers=buffers)
+    """Simulate the MC-SC queueing system at the operating point of ``solve``
+    in ``buffers`` (see ``simulate_phases``): both streams superposed in the
+    whole slot, HC decoded first and LC after cancelling it.  Deterministic
+    under ``seed``."""
+    return simulate_phases(cfg, budget, solve.p, solve.p, solve.R, (1.0, 1.0), buffers, seed)
 
 
 def stability_diagnostic(trace: QueueTrace) -> dict[str, bool]:

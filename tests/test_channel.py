@@ -23,7 +23,7 @@ from risthz.channel import (
     ris_gain,
 )
 from risthz.config import ConfigError, SystemConfig, parse_config_text
-from risthz.queueing import sample_channel_slots
+from risthz.queueing import SlotBuffers, sample_channel_slots
 
 # Independently scripted one-line evaluations for the default config.
 ETA_D = 0.0295658402901406
@@ -175,20 +175,20 @@ class TestSampling:
     def test_degenerate_blockage(self):
         always = SystemConfig(q_d=0.0, q_r=1.0)
         rng = np.random.default_rng(0)
-        beta_d, beta_r, _, _ = sample_channel_slots(always, 50, rng)
+        beta_d, beta_r, _, _ = sample_channel_slots(always, rng, SlotBuffers(50))
         assert np.all(beta_d == 1)
         assert np.all(beta_r == 0)
 
     def test_blockage_marginals(self, cfg):
         n = 1_000_000
-        beta_d, beta_r, _, _ = sample_channel_slots(cfg, n, np.random.default_rng(1))
+        beta_d, beta_r, _, _ = sample_channel_slots(cfg, np.random.default_rng(1), SlotBuffers(n))
         for beta, q in ((beta_d, cfg.q_d), (beta_r, cfg.q_r)):
             sigma3 = 3 * math.sqrt(q * (1 - q) / n)
             assert abs(np.mean(1 - beta) - q) < sigma3
 
     def test_pointing_error_determinism_and_positivity(self, cfg):
-        a = sample_channel_slots(cfg, 100, np.random.default_rng(7))
-        b = sample_channel_slots(cfg, 100, np.random.default_rng(7))
+        a = sample_channel_slots(cfg, np.random.default_rng(7), SlotBuffers(100))
+        b = sample_channel_slots(cfg, np.random.default_rng(7), SlotBuffers(100))
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
         assert np.all(a[2] >= 0) and np.all(a[3] >= 0)

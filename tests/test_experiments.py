@@ -22,7 +22,7 @@ from risthz.optimizer import (
     sca_solve,
     structural_solve,
 )
-from risthz import channel, cli, config, experiments, mcsc, optimizer, queueing
+from risthz import SlotBuffers, channel, cli, config, experiments, mcsc, optimizer, queueing
 from risthz.experiments import (
     BeamAdaptationError,
     V_STAR,
@@ -323,6 +323,14 @@ class TestAdaptBeamwidth:
         with pytest.raises(BeamAdaptationError, match="floor"):
             adapt_beamwidth(cfg, 1e-6)
 
+    def test_direct_path_that_never_fails_meets_every_target(self):
+        # P_out_l = 0: every target holds for every beam, so the narrowest
+        # beam is returned instead of dividing by the zero failure rate
+        cfg = SystemConfig(q_d=0.0, sigma_md=1e-3, sigma_mr=2e-3)
+        assert outage_probs(cfg, derive_link_budget(cfg)).P_out_l == 0.0
+        for target in (0.05, 1e-12, 1.0):
+            assert adapt_beamwidth(cfg, target) == (W_R_MIN, 8 * cfg.d_RU**2 / W_R_MIN**2)
+
     # a_U grows with sqrt(G_U) / f; at G_U = 0.2 and 300 GHz the analytic
     # minimum lies below W_R_MIN, so w_min clamps to it
     @given(log10_G_U=st.floats(-1.0, 5.0), f=st.floats(config.F_VALID_MIN, config.F_VALID_MAX))
@@ -497,7 +505,7 @@ class TestSimulateTimeSharing:
         tsp = dataclasses.replace(time_sharing_point(c, c.alpha),
                                   p_h_d=0.0, p_h_r=c.P_max)
         c = c.with_(A_bar=0.9 * tsp.A_max)
-        trace = experiments.simulate_time_sharing(c, budget, tsp, 3000, seed=11)
+        trace = experiments.simulate_time_sharing(c, budget, tsp, SlotBuffers(3000), seed=11)
         ref, arrivals = time_sharing_reference(c, budget, tsp, 3000, seed=11)
         assert np.array_equal(trace.arrivals, arrivals)
         assert np.array_equal(trace.xi_h, ref["xi_h"])
@@ -560,7 +568,8 @@ class TestDelaySweep:
         def reference(alpha, n_slots, seed, n_reps):
             c = cfg.with_(alpha=alpha)
             b = derive_link_budget(c)
-            traces = [simulate_time_sharing(c, b, time_sharing_point(c, alpha), n_slots,
+            traces = [simulate_time_sharing(c, b, time_sharing_point(c, alpha),
+                                            SlotBuffers(n_slots),
                                             np.random.SeedSequence([seed, 0, rep]))
                       for rep in range(n_reps)]
             rec = {"scheme": "time_sharing", "alpha": alpha}
@@ -615,3 +624,25 @@ class TestDelaySweep:
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
         with pytest.raises(ValueError, match="scheme"):
             delay_sweep(cfg, [0.1, 0.2], "bogus", n_slots=500, jobs=2)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"n_reps": 0}, "n_reps must be >= 1, got 0"),
+        ({"n_reps": -2}, "n_reps must be >= 1, got -2"),
+        ({"n_slots": -5}, "n_slots must be >= 100, got -5"),
+        ({"n_slots": 0}, "n_slots must be >= 100, got 0"),
+        ({"n_slots": 50}, "n_slots must be >= 100, got 50"),
+    ])
+    def test_bad_sizes_rejected_before_any_point(self, cfg, monkeypatch, kwargs, match):
+        def no_call(*_args, **_kwargs):
+            raise AssertionError("a point or a pool started")
+
+        monkeypatch.setattr(experiments, "_delay_point", no_call)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_call)
+        for jobs in (1, 2):
+            with pytest.raises(ValueError, match=match):
+                delay_sweep(cfg, [0.1, 0.2], experiments.SCHEMES, jobs=jobs, **kwargs)
+
+    def test_shortest_diagnostic_trace_accepted(self, cfg):
+        n = queueing.MIN_DIAGNOSTIC_SLOTS
+        rec = delay_sweep(cfg, [0.4], "time_sharing", n_slots=n).records[0]
+        assert rec["scheme"] == "time_sharing" and rec["stable_h"] in (0, 1)

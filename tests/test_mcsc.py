@@ -18,7 +18,7 @@ from risthz.mcsc import (
     outage_probs,
     sinr,
 )
-from risthz.queueing import decode_slots
+from risthz.queueing import SlotBuffers, decode_slots
 
 EPS_TH_D = 0.24982458980940947  # hand evaluation for the default config
 EPS_TH_R = 0.47099487402555823
@@ -41,8 +41,9 @@ def scalar_decode(budget, beta, eps, hc, lc, targets, B):
         h2 * hc.p_l_d + g2 * hc.p_l_r + budget.sigma_n2
     )
     gam_l = (h2 * lc.p_l_d + g2 * lc.p_l_r) / budget.sigma_n2
-    r_h = B * math.log2(1.0 + gam_h)
-    r_l = B * math.log2(1.0 + gam_l)
+    # log1p keeps an SINR below the float spacing at 1 from rounding to rate 0
+    r_h = B * math.log1p(gam_h) / math.log(2.0)
+    r_l = B * math.log1p(gam_l) / math.log(2.0)
     xi_h = int(r_h >= targets.R_h)
     sic = lc.p_h_d + lc.p_h_r > 0.0
     return (xi_h, int((xi_h or not sic) and r_l >= targets.R_l)), (r_h, r_l)
@@ -52,6 +53,7 @@ def decode_one(cfg, budget, beta, eps, hc, lc, targets):
     xi_h, xi_l = decode_slots(
         cfg, budget, hc, lc, targets, np.array([beta[0]], dtype=np.int8),
         np.array([beta[1]], dtype=np.int8), np.array([eps[0]]), np.array([eps[1]]),
+        buf=SlotBuffers(1),
     )
     return int(xi_h[0]), int(xi_l[0])
 
@@ -136,6 +138,17 @@ class TestDecode:
         xi = decode_one(cfg, budget, (0, 0), (0.0, 0.0), p, p, RateTargets(1e9, 0.0))
         assert xi == (0, 0)
 
+    def test_rates_below_float_resolution(self, cfg, budget):
+        # a positive rate whose target SINR underflows to 0 is not met at
+        # SINR 0, and an SINR below the float spacing at 1 still carries
+        # its rate of ~1.7e-41 bit/s
+        silent = PowerAllocation(0.0, 0.0, 0.0)
+        assert decode_one(cfg, budget, (1, 1), (0.0, 0.0), silent, silent,
+                          RateTargets(5e-324, 5e-324)) == (0, 0)
+        faint = PowerAllocation(0.0, 0.0, 6e-56)
+        assert decode_one(cfg, budget, (1, 1), (0.0, 0.0), faint, faint,
+                          RateTargets(0.0, 1e-239)) == (1, 1)
+
     def test_sic_dependency(self, cfg, budget):
         p = PowerAllocation(5e-3, 4e-3, 1e-3)
         # HC achievable, LC target far above what p_l_d can deliver -> (1, 0)
@@ -163,7 +176,8 @@ class TestDecode:
         beta_d, beta_r = rng.integers(2, size=(2, n), dtype=np.int8)
         eps_d, eps_r = rng.rayleigh(0.2, (2, n))
         targets = RateTargets(*rng.uniform(0, 5e10, (2, n)))
-        xi_h, xi_l = decode_slots(cfg, budget, p, p, targets, beta_d, beta_r, eps_d, eps_r)
+        xi_h, xi_l = decode_slots(cfg, budget, p, p, targets, beta_d, beta_r, eps_d, eps_r,
+                                  buf=SlotBuffers(n))
         assert np.all(xi_l <= xi_h)
 
     def test_overflowing_target_decodes_nowhere(self, cfg, budget):
@@ -176,10 +190,12 @@ class TestDecode:
         silent = PowerAllocation(0.0, 0.0, 1e-3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            xi_h, _ = decode_slots(cfg, budget, p, p, RateTargets(1e15, 0.0), *beta, *eps)
+            xi_h, _ = decode_slots(cfg, budget, p, p, RateTargets(1e15, 0.0), *beta, *eps,
+                                   buf=SlotBuffers(500))
             _, xi_l = decode_slots(cfg, budget, silent, silent, RateTargets(0.0, 1e15),
-                                   *beta, *eps)
-            reachable = decode_slots(cfg, budget, p, p, RateTargets(1e6, 1e6), *beta, *eps)
+                                   *beta, *eps, buf=SlotBuffers(500))
+            reachable = decode_slots(cfg, budget, p, p, RateTargets(1e6, 1e6), *beta, *eps,
+                                     buf=SlotBuffers(500))
         assert not xi_h.any() and not xi_l.any()
         assert reachable[0].all() and reachable[1].all()
 
@@ -193,10 +209,12 @@ class TestDecode:
         r_h, r_l = levels[rng.integers(len(levels), size=(2, n))]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = decode_slots(cfg, budget, p, p, RateTargets(r_h, r_l), *beta, *eps)
+            got = decode_slots(cfg, budget, p, p, RateTargets(r_h, r_l), *beta, *eps,
+                               buf=SlotBuffers(n))
             for a in levels:
                 for b in levels:
-                    want = decode_slots(cfg, budget, p, p, RateTargets(a, b), *beta, *eps)
+                    want = decode_slots(cfg, budget, p, p, RateTargets(a, b), *beta, *eps,
+                                        buf=SlotBuffers(n))
                     at = (r_h == a) & (r_l == b)
                     assert np.array_equal(got[0][at], want[0][at])
                     assert np.array_equal(got[1][at], want[1][at])
@@ -218,7 +236,8 @@ class TestDecode:
             hc = PowerAllocation(p.p_h_d, p.p_h_r, 0.0, 0.0)
             lc = PowerAllocation(0.0, 0.0, p.p_l_d, p.p_l_r)
         xi_h, xi_l = decode_slots(
-            cfg, budget, hc, lc, targets, blocks[0], blocks[1], eps[0], eps[1]
+            cfg, budget, hc, lc, targets, blocks[0], blocks[1], eps[0], eps[1],
+            buf=SlotBuffers(20),
         )
         gated = lc.p_h_d + lc.p_h_r > 0.0
         for t in range(20):

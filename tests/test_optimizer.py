@@ -181,7 +181,7 @@ class TestQuadraticTransform:
 class TestSubproblem:
     def test_zero_mu_gives_minus_arrival_rate(self, cfg, budget):
         mu = update_mu(PowerAllocation(0, 0, 0, 0), budget)
-        res = solve_subproblem(mu, cfg, budget)
+        res = solve_subproblem(mu, cfg, budget, outage=outage_probs(cfg, budget))
         assert res.objective == pytest.approx(-cfg.A_bar, rel=1e-12)
 
     def test_sca_ascent_step(self, cfg, budget):

@@ -20,6 +20,7 @@ from risthz.queueing import (
     _lindley,
     decode_slots,
     run_queues,
+    sample_arrivals,
     sample_channel_slots,
     simulate,
     stability_diagnostic,
@@ -43,7 +44,7 @@ def queues(cfg, arrivals, service_h, service_l):
     ones = np.ones(len(arrivals), dtype=np.int8)
     return run_queues(
         cfg, np.asarray(arrivals, float), np.asarray(service_h, float),
-        np.asarray(service_l, float), ones, ones,
+        np.asarray(service_l, float), ones, ones, SlotBuffers(len(arrivals)),
     )
 
 
@@ -98,14 +99,16 @@ class TestLindley:
 class TestSimulate:
     def test_zero_arrivals_all_zero(self, cfg, budget):
         res = sca_solve(cfg, budget)
-        trace = simulate(cfg.with_(A_bar=0.0), budget, res, 500, seed=0)
+        trace = simulate(cfg.with_(A_bar=0.0), budget, res, SlotBuffers(500), seed=0)
         assert np.all(trace.q_h == 0.0)
         assert np.all(trace.q_l == 0.0)
 
     def test_seed_determinism(self, cfg, budget):
+        # each trace in its own workspace, so they cannot be the same arrays
         res = sca_solve(cfg, budget)
-        a = simulate(cfg, budget, res, 2000, seed=123)
-        b = simulate(cfg, budget, res, 2000, seed=123)
+        a = simulate(cfg, budget, res, SlotBuffers(2000), seed=123)
+        b = simulate(cfg, budget, res, SlotBuffers(2000), seed=123)
+        assert not np.shares_memory(a.q_h, b.q_h)
         assert np.array_equal(a.q_h, b.q_h)
         assert np.array_equal(a.q_l, b.q_l)
         assert np.array_equal(a.arrivals, b.arrivals)
@@ -116,8 +119,9 @@ class TestSimulate:
             run = partial(simulate, cfg, budget, sca_solve(cfg, budget))
         else:
             run = partial(simulate_time_sharing, cfg, budget, time_sharing_point(cfg, cfg.alpha))
-        with pytest.raises(ValueError, match="n_slots must be >= 1"):
-            run(0, seed=0)
+        for n_slots in (0, -1):
+            with pytest.raises(ValueError, match="n_slots must be >= 1"):
+                run(SlotBuffers(n_slots), seed=0)
 
     def test_all_lc_point_decodes_hc_every_slot(self, cfg):
         # at alpha = 0 the solve leaves HC silent with R_h = 0, a rate every
@@ -126,13 +130,13 @@ class TestSimulate:
         b = derive_link_budget(c)
         res = sca_solve(c, b)
         assert (res.p.p_h_d, res.p.p_h_r, res.R.R_h) == (0.0, 0.0, 0.0)
-        trace = simulate(c, b, res, 2000, seed=3)
+        trace = simulate(c, b, res, SlotBuffers(2000), seed=3)
         assert np.all(trace.xi_h == 1)
         assert 0 < np.mean(trace.xi_l) < 1
 
     def test_queues_never_negative(self, cfg, budget):
         res = sca_solve(cfg, budget)
-        trace = simulate(cfg, budget, res, 5000, seed=5)
+        trace = simulate(cfg, budget, res, SlotBuffers(5000), seed=5)
         assert np.min(trace.q_h) >= 0.0
         assert np.min(trace.q_l) >= 0.0
 
@@ -143,7 +147,7 @@ class TestSimulate:
         b = derive_link_budget(cfg)
         res = sca_solve(cfg, b)
         assert res.objective > 0  # stabilizable operating point
-        trace = simulate(cfg, b, res, 10000, seed=9)
+        trace = simulate(cfg, b, res, SlotBuffers(10000), seed=9)
         assert np.all(trace.xi_h == 1)
         first = np.mean(trace.q_h[:5000])
         second = np.mean(trace.q_h[5000:])
@@ -156,7 +160,7 @@ class TestSimulate:
                            A_bar=100.0)
         b = derive_link_budget(cfg)
         res = sca_solve(cfg.with_(A_bar=0.0), b)
-        trace = simulate(cfg, b, res, 20000, seed=2)
+        trace = simulate(cfg, b, res, SlotBuffers(20000), seed=2)
         assert trace.tau_h <= 1.5
         assert trace.tau_l <= 1.5
 
@@ -164,7 +168,7 @@ class TestSimulate:
         # Empirical HC success rate over 1e5 slots vs an independent
         # vectorized Monte-Carlo evaluation of the decode rule (1e6 draws).
         res = sca_solve(cfg, budget)
-        trace = simulate(cfg, budget, res, 100_000, seed=77)
+        trace = simulate(cfg, budget, res, SlotBuffers(100_000), seed=77)
 
         rng = np.random.default_rng(123456)
         n = 1_000_000
@@ -220,7 +224,7 @@ class TestSlotBuffers:
         run = entries(cfg, budget)[entry]
         work = SlotBuffers(3000)
         for seed in (4, 5):  # the second run overwrites the first in place
-            got, want = run(3000, seed, buffers=work), run(3000, seed)
+            got, want = run(work, seed), run(SlotBuffers(3000), seed)
             for name in TRACE_ARRAYS:
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
                 assert np.shares_memory(getattr(got, name), getattr(work, name)), name
@@ -228,42 +232,53 @@ class TestSlotBuffers:
 
     @pytest.mark.parametrize("entry", ["simulate", "simulate_time_sharing"])
     def test_public_trace_owns_its_arrays(self, cfg, budget, entry):
+        # a trace keeps its workspace's arrays through simulations elsewhere
         runs = entries(cfg, budget)
-        trace = runs[entry](2000, seed=1)
+        trace = runs[entry](SlotBuffers(2000), seed=1)
         kept = {name: getattr(trace, name).copy() for name in TRACE_ARRAYS}
         for run in runs.values():
-            run(2000, seed=2)
-            run(3000, seed=3)
-            run(2000, seed=4, buffers=thread_buffers(2000))
+            others = [run(SlotBuffers(2000), seed=2), run(SlotBuffers(3000), seed=3),
+                      run(thread_buffers(2000), seed=4)]
+            for other in others:
+                for a in TRACE_ARRAYS:
+                    for b in TRACE_ARRAYS:
+                        assert not np.shares_memory(getattr(trace, a), getattr(other, b))
         delay_sweep(cfg, [0.4], "mcsc", n_slots=2000, n_reps=2)
         for name in TRACE_ARRAYS:
             assert np.array_equal(getattr(trace, name), kept[name]), name
+
+    def test_stages_return_workspace_arrays(self, cfg, budget):
+        p = sca_solve(cfg, budget)
+        work = SlotBuffers(500)
+        rng = np.random.default_rng(6)
+        assert sample_arrivals(cfg, rng, work) is work.arrivals
+        slots = sample_channel_slots(cfg, rng, work)
+        names = ("beta_d", "beta_r", "eps_d", "eps_r")
+        assert all(x is getattr(work, name) for x, name in zip(slots, names))
+        xi = decode_slots(cfg, budget, p.p, p.p, p.R, *slots, buf=work)
+        assert xi[0] is work.xi_h and xi[1] is work.xi_l
+        assert {x.dtype for x in (*slots[:2], *xi)} == {np.dtype(np.int8)}
 
     def test_decode_and_gains_leave_inputs_unchanged(self, cfg, budget):
         p = sca_solve(cfg, budget)
         work = SlotBuffers(1000)
         # the pipeline's own layout: the slots sit in the workspace they decode in
-        slots = sample_channel_slots(cfg, 1000, np.random.default_rng(8), buffers=work)
+        slots = sample_channel_slots(cfg, np.random.default_rng(8), work)
         kept = [x.copy() for x in slots]
-        want = decode_slots(cfg, budget, p.p, p.p, p.R, *kept)
-        got = decode_slots(cfg, budget, p.p, p.p, p.R, *slots, buffers=work)
+        want = decode_slots(cfg, budget, p.p, p.p, p.R, *kept, buf=SlotBuffers(1000))
+        got = decode_slots(cfg, budget, p.p, p.p, p.R, *slots, buf=work)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
         gains = channel_gains(budget, *slots, out=(work.h2, work.g2, work.work_a))
         assert all(np.array_equal(a, b) for a, b in zip(gains, channel_gains(budget, *kept)))
         for before, after in zip(kept, slots):
             assert np.array_equal(before, after)
 
-    def test_buffers_of_another_length_rejected(self, cfg, budget):
-        with pytest.raises(ValueError, match="2000 slots, not 1000"):
-            simulate(cfg, budget, sca_solve(cfg, budget), 1000, seed=0,
-                     buffers=SlotBuffers(2000))
-
 
 class TestStabilityDiagnostic:
     def test_stable_at_feasible_point(self, cfg, budget):
         res = sca_solve(cfg, budget)
         assert min(res.delta) > 0
-        trace = simulate(cfg, budget, res, 10000, seed=4)
+        trace = simulate(cfg, budget, res, SlotBuffers(10000), seed=4)
         verdict = stability_diagnostic(trace)
         assert verdict == {"hc": True, "lc": True}
 
@@ -271,17 +286,17 @@ class TestStabilityDiagnostic:
         hot = cfg.with_(A_bar=3000.0)  # far above the feasible rate
         res = sca_solve(hot, budget)
         assert res.objective < 0
-        trace = simulate(hot, budget, res, 10000, seed=4)
+        trace = simulate(hot, budget, res, SlotBuffers(10000), seed=4)
         verdict = stability_diagnostic(trace)
         assert not (verdict["hc"] and verdict["lc"])
 
     def test_zero_arrivals_stable(self, cfg, budget):
         res = sca_solve(cfg, budget)
-        trace = simulate(cfg.with_(A_bar=0.0), budget, res, 1000, seed=0)
+        trace = simulate(cfg.with_(A_bar=0.0), budget, res, SlotBuffers(1000), seed=0)
         assert stability_diagnostic(trace) == {"hc": True, "lc": True}
 
     def test_short_trace_rejected(self, cfg, budget):
         res = sca_solve(cfg, budget)
-        trace = simulate(cfg, budget, res, 50, seed=0)
+        trace = simulate(cfg, budget, res, SlotBuffers(50), seed=0)
         with pytest.raises(InsufficientDataError):
             stability_diagnostic(trace)
