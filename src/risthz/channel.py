@@ -9,15 +9,14 @@ applied to sampled blockage states and pointing errors (floats or
 per-slot arrays).
 
 The error function is evaluated via ``math.erf`` (C library erf,
-correctly rounded to double precision).
+correctly rounded to double precision).  numpy is imported only inside
+the array kernels, so link budgets cost no numpy start-up.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .config import SPEED_OF_LIGHT, SystemConfig
 
@@ -155,6 +154,8 @@ def fading_coefficient(eps, A_peak: float, w_eq: float, out=None):
 
     For the RIS path the caller passes A_peak = A_RIS * A_r.
     """
+    import numpy as np
+
     rho = np.square(eps, out=out)
     rho = np.multiply(-2.0, rho, out=out)
     rho = np.divide(rho, w_eq**2, out=out)
@@ -169,6 +170,8 @@ def channel_gains(budget: LinkBudget, beta_d, beta_r, eps_d, eps_r, out=None):
     ``out`` is None or three float arrays of the slots' shape: |h|^2 and
     |g|^2 are written into the first two, and the third holds each path's
     fading coefficient on the way.  The inputs are left unchanged."""
+    import numpy as np
+
     h2, g2, rho = (None, None, None) if out is None else out
     rho_d = fading_coefficient(eps_d, budget.A_d, budget.w_eq_d, out=rho)
     h2 = np.multiply(np.multiply(beta_d, budget.eta_d**2, out=h2), rho_d, out=h2)

@@ -7,6 +7,11 @@ manifest; re-running from a manifest reproduces the CSV byte-for-byte.
 
 Exit codes: 0 success, 1 config or usage error, 2 numerical
 non-convergence, 3 infeasibility (``strict-hc``: after writing all points).
+
+A run imports only what its subcommand uses: each handler imports the
+solver, the sweep drivers or numpy itself, so ``config``, ``solve`` and
+the solver sweeps start without numpy, and only ``queue-sim`` and
+``oracle-check`` load it.
 """
 
 from __future__ import annotations
@@ -16,34 +21,28 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .channel import derive_link_budget
-from .config import ConfigError, SystemConfig, default_config_text, load_config
-from .experiments import (
+from .config import (
     DEFAULT_N_SLOTS,
+    MIN_DIAGNOSTIC_SLOTS,
     SCHEMES,
-    blockage_sweep,
-    config_hash,
-    delay_sweep,
-    feasibility_region,
-    misalignment_sweep,
-    strict_hc_sweep,
+    ConfigError,
+    SystemConfig,
+    default_config_text,
+    load_config,
 )
-from .optimizer import random_config, sca_solve, structural_solve
-from .queueing import MIN_DIAGNOSTIC_SLOTS
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_INFEASIBLE = 3
+MAX_GRID_POINTS = 100_000  # the most points a start:step:end grid may hold
 
 
 def _usable_cores() -> int:
@@ -60,6 +59,8 @@ def parse_grid(spec: str) -> list[float]:
 
     Point i is the float nearest the exact decimal start + i step of the
     spec text, so ``0:0.1:1`` holds 0.3, not 0.1 + 0.1 + 0.1 rounded.
+    A grid of more than ``MAX_GRID_POINTS`` points raises ``ConfigError``
+    before any point is built.
     """
     parts = spec.split(":")
     try:
@@ -76,7 +77,11 @@ def parse_grid(spec: str) -> list[float]:
     # the float step: a positive step that rounds to 0 would never reach end
     if step_ <= 0 or x1 < x0:
         raise ConfigError(f"bad grid spec {spec!r}: need step > 0 and end >= start")
-    return [float(x0 + i * dx) for i in range((x1 - x0) // dx + 1)]
+    n = (x1 - x0) // dx + 1
+    if n > MAX_GRID_POINTS:
+        raise ConfigError(f"bad grid spec {spec!r}: {Decimal(n):.6g} points, "
+                          f"more than {MAX_GRID_POINTS}")
+    return [float(x0 + i * dx) for i in range(n)]
 
 
 def _load_cfg(args) -> SystemConfig:
@@ -88,6 +93,8 @@ def _load_cfg(args) -> SystemConfig:
 
 def _write_manifest(args, cfg: SystemConfig) -> None:
     """Record the run beside its ``--out`` file for ``run_from_manifest``."""
+    from .experiments import config_hash
+
     manifest = {
         "experiment": args.command,
         "config": cfg.as_dict(),
@@ -134,6 +141,8 @@ def cmd_config(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from .optimizer import sca_solve
+
     cfg = _load_cfg(args)
     budget = derive_link_budget(cfg)
     hook = None
@@ -173,15 +182,22 @@ def _require_at_least(flag: str, value: int, least: int) -> None:
         raise ConfigError(f"{flag} must be >= {least}, got {value}")
 
 
-def cmd_sweep(sweep, grid_dest: str, args) -> int:
-    """``sweep(cfg, grid, jobs=...)`` over the grid option ``grid_dest``."""
+def cmd_sweep(sweep: str, grid_dest: str, args) -> int:
+    """``experiments.<sweep>(cfg, grid, jobs=...)`` over the grid option
+    ``grid_dest``; the driver is looked up on every call, so a caller
+    that replaced the module attribute gets its replacement."""
+    from . import experiments
+
     _require_at_least("--jobs", args.jobs, 1)
     cfg = _load_cfg(args)
-    _emit(sweep(cfg, parse_grid(getattr(args, grid_dest)), jobs=args.jobs).write_csv, args, cfg)
+    grid = parse_grid(getattr(args, grid_dest))
+    _emit(getattr(experiments, sweep)(cfg, grid, jobs=args.jobs).write_csv, args, cfg)
     return EXIT_OK
 
 
 def cmd_strict_hc(args) -> int:
+    from .experiments import strict_hc_sweep
+
     _require_at_least("--jobs", args.jobs, 1)
     cfg = _load_cfg(args)
     res = strict_hc_sweep(
@@ -201,6 +217,8 @@ def cmd_strict_hc(args) -> int:
 
 
 def cmd_queue_sim(args) -> int:
+    from .experiments import delay_sweep
+
     _require_at_least("--slots", args.slots, MIN_DIAGNOSTIC_SLOTS)
     _require_at_least("--reps", args.reps, 1)
     _require_at_least("--jobs", args.jobs, 1)
@@ -220,6 +238,10 @@ def cmd_queue_sim(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    import numpy as np
+
+    from .optimizer import random_config, sca_solve, structural_solve
+
     _require_at_least("--n", args.n, 1)
     cfg = _load_cfg(args)
     rng = np.random.default_rng(args.seed)
@@ -288,14 +310,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit per-iteration solver diagnostics on stderr")
     p.add_argument("--alpha", type=float)
 
-    # the sweep functions are looked up here, on every call, not bound at
-    # import: a caller may have replaced the module attributes since
     for name, sweep, hlp, grid in (
-        ("feasibility", feasibility_region, "max arrival rate over the alpha grid",
+        ("feasibility", "feasibility_region", "max arrival rate over the alpha grid",
          ("--alpha-grid", "0:0.05:1", "alpha")),
-        ("blockage-sweep", blockage_sweep, "throughput vs direct blockage",
+        ("blockage-sweep", "blockage_sweep", "throughput vs direct blockage",
          ("--qd-grid", "0:0.1:0.5", "q_d")),
-        ("misalignment-sweep", misalignment_sweep, "throughput vs pointing error",
+        ("misalignment-sweep", "misalignment_sweep", "throughput vs pointing error",
          ("--sigma-grid", "0.02:0.04:0.3", "sigma_m")),
     ):
         grid_dest = grid[0][2:].replace("-", "_")
@@ -334,6 +354,8 @@ def run_from_manifest(manifest_path: str, out: str) -> int:
                 argv.append(flag)
         else:
             argv.extend([flag, str(value)])
+    import tempfile
+
     # replay the resolved config through a temp key=value document
     cfg_lines = [f"{k} = {v!r}" for k, v in manifest["config"].items()]
     with tempfile.NamedTemporaryFile(

@@ -19,6 +19,13 @@ SPEED_OF_LIGHT = 3e8  # m/s
 F_VALID_MIN = 100e9
 F_VALID_MAX = 450e9
 
+# Simulation run sizes and transmission schemes, here so the CLI's
+# parser can read them without importing the simulator;
+# ``experiments`` and ``queueing`` re-export them.
+SCHEMES = ("mcsc", "time_sharing")
+DEFAULT_N_SLOTS = 20000
+MIN_DIAGNOSTIC_SLOTS = 100  # shortest trace given a stability verdict
+
 
 class ConfigError(ValueError):
     """Raised for invalid or unknown configuration entries."""

@@ -13,46 +13,36 @@ all-HC and all-LC ends.
 Every sweep driver runs one point function per grid value through
 ``_sweep``, which returns each point's records in grid order.  Sweep
 points are independent; with ``jobs > 1`` they are evaluated in a
-process pool.  A delay sweep over several schemes runs every scheme's
-points through one ``_sweep``.  Simulation seeds derive from a master
-seed via ``numpy.random.SeedSequence([master_seed, grid_index,
-replication])``, the same under every scheme.
+process pool opened by ``_process_pool``.  A delay sweep over several
+schemes runs every scheme's points through one ``_sweep``.  Simulation
+seeds derive from a master seed via ``numpy.random.SeedSequence(
+[master_seed, grid_index, replication])``, the same under every scheme.
+
+The solver sweeps need only ``math``: numpy and the simulator
+(``queueing``) are imported on the delay-sweep path, ``concurrent.futures``
+when a pool opens and ``hashlib`` in ``config_hash``, each on first use.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import math
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 
-import numpy as np
-
 from .channel import collection_fraction, derive_link_budget, equivalent_width_sq, ris_gain
-from .config import ConfigError, SystemConfig
+from .config import DEFAULT_N_SLOTS, MIN_DIAGNOSTIC_SLOTS, SCHEMES, ConfigError, SystemConfig
 from .mcsc import PowerAllocation, RateTargets, outage_probs
 from .optimizer import Frontier, _golden_max, hc_service_rate, lc_service_rate, sca_solve
-from .queueing import (
-    MIN_DIAGNOSTIC_SLOTS,
-    SlotBuffers,
-    simulate,
-    simulate_phases,
-    stability_diagnostic,
-    thread_buffers,
-)
 
 W_R_MIN = 1e-4  # [m] bisection bracket for beamwidth inversion
 W_R_MAX = 10.0
 # minimum of log erf v - 3 log v + v^2, the root of
 # 2 e^{-v^2} / (sqrt(pi) erf v) = 3 / v - 2 v (see ``adapt_beamwidth``)
 V_STAR = 1.1420888018148148
-
-DEFAULT_N_SLOTS = 20000
 
 
 class BeamAdaptationError(ValueError):
@@ -109,6 +99,8 @@ class SweepResult:
 
 
 def config_hash(cfg: SystemConfig) -> str:
+    import hashlib
+
     blob = repr(sorted(cfg.as_dict().items())).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -122,9 +114,17 @@ def _sweep(point, values, jobs: int) -> SweepResult:
     if jobs <= 1:
         nested = list(map(*args))
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with _process_pool(jobs) as pool:
             nested = list(pool.map(*args))
     return SweepResult([rec for recs in nested for rec in recs])
+
+
+def _process_pool(max_workers: int):
+    """The sweeps' one way to a process pool; ``concurrent.futures``,
+    with multiprocessing, is imported on the first call."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
 
 
 def operating_point(cfg: SystemConfig, alpha: float) -> OperatingPoint:
@@ -174,6 +174,8 @@ def argmax_unimodal(fn, lo: float, hi: float, tol: float, n_prescan: int = 21,
     pre-scan is non-unimodal, warns (``RuntimeWarning``) and falls back
     to a fine grid.  Ties resolve to the leftmost maximizer.
     """
+    import numpy as np
+
     xs = np.linspace(lo, hi, n_prescan)
     vals = [fn(float(x)) for x in xs]
     k = int(np.argmax(vals))
@@ -404,19 +406,18 @@ def _strict_hc_point(
 
 
 def simulate_time_sharing(
-    cfg: SystemConfig, budget, tsp: TimeSharingPoint, buffers: SlotBuffers, seed
+    cfg: SystemConfig, budget, tsp: TimeSharingPoint, buffers: queueing.SlotBuffers, seed
 ):
     """Queue simulation under the time-sharing baseline in ``buffers``
     (see ``queueing.simulate_phases``): HC is served in a share lam of each
     slot at its phase's split with no LC interference, LC in the
     remaining 1 - lam on the direct path at P_max with no HC to cancel.
     Deterministic under ``seed``."""
+    from .queueing import simulate_phases
+
     hc, lc = PowerAllocation(tsp.p_h_d, tsp.p_h_r, 0.0), PowerAllocation(0.0, 0.0, cfg.P_max)
     return simulate_phases(cfg, budget, hc, lc, RateTargets(tsp.R_h, tsp.R_l),
                            (tsp.lam, 1.0 - tsp.lam), buffers, seed)
-
-
-SCHEMES = ("mcsc", "time_sharing")
 
 
 def _delay_point(
@@ -432,6 +433,10 @@ def _delay_point(
     """Record of grid point ``point % n_grid`` of scheme
     ``schemes[point // n_grid]``.  Every replication runs in this
     thread's slot workspace, so only its summary outlives the next one."""
+    import numpy as np
+
+    from .queueing import simulate, stability_diagnostic, thread_buffers
+
     scheme, index = schemes[point // n_grid], point % n_grid
     cfg_a = cfg.with_(alpha=alpha)
     budget = derive_link_budget(cfg_a)
@@ -480,6 +485,10 @@ def delay_sweep(
         raise ValueError(f"n_slots must be >= {MIN_DIAGNOSTIC_SLOTS}, got {n_slots}")
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
+    # loads the simulator and numpy before a pool forks, so that its
+    # workers inherit them rather than each importing its own
+    from . import queueing  # noqa: F401
+
     grid = list(alpha_grid)
     point = partial(_delay_point, cfg, schemes, len(grid), n_slots, n_reps, master_seed)
     return _sweep(point, grid * len(schemes), jobs)

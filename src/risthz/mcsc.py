@@ -2,15 +2,14 @@
 
 SINR expressions for the two superposed streams, half-power
 pointing-error thresholds, and the closed-form outage probabilities used
-by the power optimizer.
+by the power optimizer.  Only the SINR kernel uses numpy, and imports
+it when called.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .channel import LinkBudget
 from .config import SystemConfig
@@ -62,6 +61,8 @@ def sinr(h2, g2, hc: PowerAllocation, lc: PowerAllocation, sigma_n2: float, out=
     ratios are written into the first two, and the other two hold the
     interference and the partial sums.  The inputs are left unchanged.
     """
+    import numpy as np
+
     gam_h, gam_l, interference, part = (None,) * 4 if out is None else out
     interference = np.add(np.multiply(h2, hc.p_l_d, out=interference),
                           np.multiply(g2, hc.p_l_r, out=part), out=interference)

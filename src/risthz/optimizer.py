@@ -31,8 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .channel import LinkBudget
 from .config import SystemConfig
 from .mcsc import OutageProbs, PowerAllocation, RateTargets, outage_probs
@@ -439,7 +437,7 @@ def structural_solve(cfg: SystemConfig, budget: LinkBudget) -> SolveResult:
     )
 
 
-def random_config(rng: np.random.Generator, base: SystemConfig | None = None) -> SystemConfig:
+def random_config(rng: numpy.random.Generator, base: SystemConfig | None = None) -> SystemConfig:
     """Randomized config for solver-vs-oracle checks: spans blockage
     probabilities up to 0.5, pointing-error scales 0.02-0.3 m, and the
     full HC-fraction range."""

@@ -42,13 +42,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LinkBudget, channel_gains
-from .config import SystemConfig
+from .config import MIN_DIAGNOSTIC_SLOTS, SystemConfig
 from .mcsc import PowerAllocation, RateTargets, sinr
 from .optimizer import SolveResult
 
 WARMUP_FRAC = 0.1  # leading share of each trace left out of the means
 SLOPE_TOL_FACTOR = 1e-3  # unstable if fitted slope > 1e-3 * A_bar packets/slot^2
-MIN_DIAGNOSTIC_SLOTS = 100  # shortest trace given a stability verdict
 _TINY = np.nextafter(0.0, 1.0)  # least positive double
 
 

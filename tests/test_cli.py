@@ -5,6 +5,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,12 +16,15 @@ from risthz.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
     EXIT_OK,
+    MAX_GRID_POINTS,
     build_parser,
     main,
     parse_grid,
     run_from_manifest,
 )
 from risthz.config import ConfigError, SystemConfig
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*args, env=None):
@@ -31,6 +35,14 @@ def run_cli(*args, env=None):
         timeout=300,
         env=env,
     )
+
+
+def run_python(*args):
+    """A fresh interpreter that imports risthz from this checkout's ``src``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=300, env=env)
 
 
 class TestParseGrid:
@@ -60,6 +72,21 @@ class TestParseGrid:
     def test_non_finite_is_config_error(self, spec):
         with pytest.raises(ConfigError, match="must be finite"):
             parse_grid(spec)
+
+    @pytest.mark.parametrize("spec, count", [
+        ("0:1:100000", "100001"),
+        ("0:1e-9:1", "1.00000e+9"),
+        ("0:1e-320:1", "1.00000e+320"),  # building these points would never end
+        ("-1.7e308:5e-324:1.7e308", "6.80000e+631"),
+    ])
+    def test_oversized_grid_is_config_error(self, spec, count):
+        # the count is taken from the spec, before any point is built
+        with pytest.raises(ConfigError,
+                           match=re.escape(f": {count} points, more than {MAX_GRID_POINTS}")):
+            parse_grid(spec)
+
+    def test_largest_grid_accepted(self):
+        assert len(parse_grid("0:1:99999")) == MAX_GRID_POINTS == 100_000
 
 
 class TestSubcommands:
@@ -236,6 +263,36 @@ class TestSubcommands:
         proc = run_cli(*argv.split())
         assert proc.returncode == EXIT_CONFIG
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+class TestImports:
+    """A run imports only what its subcommand uses."""
+
+    def test_cli_import_loads_no_simulation_or_pool(self):
+        # -S: site hooks of the interpreter may import stdlib modules themselves
+        proc = run_python("-S", "-c", "import sys, risthz.cli; print(*sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "risthz.cli" in loaded
+        assert not loaded & {"numpy", "concurrent.futures", "hashlib", "tempfile",
+                             "risthz.queueing", "risthz.experiments"}
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (["config", "--show-defaults"], []),
+        (["solve", "--alpha", "0.5"], []),
+        (["feasibility", "--alpha-grid", "0:0.5:1", "--jobs", "1"], []),
+        (["feasibility", "--alpha-grid", "0:0.5:1", "--jobs", "2"], ["concurrent.futures"]),
+        (["queue-sim", "--alpha-grid", "0.5:1:0.5", "--slots", "200", "--jobs", "1"], ["numpy"]),
+        (["oracle-check", "--n", "1"], ["numpy"]),
+    ], ids=["config", "solve", "feasibility-jobs1", "feasibility-jobs2", "queue-sim",
+            "oracle-check"])
+    def test_numpy_and_pool_load_only_where_used(self, argv, loaded):
+        code = ("import sys\nfrom risthz.cli import main\nrc = main(sys.argv[1:])\n"
+                "print(*(m for m in ('concurrent.futures', 'numpy') if m in sys.modules),"
+                " file=sys.stderr)\nsys.exit(rc)\n")
+        proc = run_python("-c", code, *argv)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stderr.splitlines()[-1].split() == loaded
 
 
 class TestArgumentBounds:

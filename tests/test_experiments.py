@@ -557,7 +557,7 @@ class TestDelaySweep:
         want = [rec for scheme in experiments.SCHEMES
                 for rec in delay_sweep(cfg, grid, scheme, n_slots=500, n_reps=2,
                                        master_seed=4).records]
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(experiments, "_process_pool", SerialPool)
         got = delay_sweep(cfg, grid, experiments.SCHEMES, n_slots=500, n_reps=2,
                           master_seed=4, jobs=2)
         assert pools == [2]
@@ -621,7 +621,7 @@ class TestDelaySweep:
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool started")
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(experiments, "_process_pool", no_pool)
         with pytest.raises(ValueError, match="scheme"):
             delay_sweep(cfg, [0.1, 0.2], "bogus", n_slots=500, jobs=2)
 
@@ -637,7 +637,7 @@ class TestDelaySweep:
             raise AssertionError("a point or a pool started")
 
         monkeypatch.setattr(experiments, "_delay_point", no_call)
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_call)
+        monkeypatch.setattr(experiments, "_process_pool", no_call)
         for jobs in (1, 2):
             with pytest.raises(ValueError, match=match):
                 delay_sweep(cfg, [0.1, 0.2], experiments.SCHEMES, jobs=jobs, **kwargs)

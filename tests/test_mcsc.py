@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -227,6 +227,13 @@ class TestDecode:
         eps=hnp.arrays(np.float64, (2, 20), elements=st.floats(0.0, 1.0)),
         phased=st.booleans(),
     )
+    # a positive rate whose target SINR underflows, at SINR 0 (all powers 0)
+    @example(p=PowerAllocation(0.0, 0.0, 0.0, 0.0), targets=RateTargets(5e-324, 5e-324),
+             blocks=np.ones((2, 20), np.int8), eps=np.zeros((2, 20)), phased=False)
+    # an LC SNR below 2^-53, whose rate log2(1 + x) would round to 0; HC
+    # is served, so the slot's LC outcome is compared
+    @example(p=PowerAllocation(1e-3, 0.0, 6e-56, 0.0), targets=RateTargets(0.0, 1e-239),
+             blocks=np.ones((2, 20), np.int8), eps=np.zeros((2, 20)), phased=True)
     def test_array_decode_matches_scalar_reference(self, cfg, budget, p, targets,
                                                    blocks, eps, phased):
         # phased: p split into an HC-only and an LC-only phase, as time

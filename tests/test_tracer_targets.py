@@ -120,14 +120,14 @@ def test_slot_pipeline_reaches_wrapped_stages(monkeypatch, scheme):
     from risthz import experiments, queueing
     from risthz.config import SystemConfig
 
-    entry = "simulate" if scheme == "mcsc" else "simulate_time_sharing"
+    entry = (queueing, "simulate") if scheme == "mcsc" else (experiments, "simulate_time_sharing")
     stages = ("sample_arrivals", "sample_channel_slots", "decode_slots", "run_queues")
     calls = {}
-    for module, name in [(queueing, stage) for stage in stages] + [(experiments, entry)]:
+    for module, name in [(queueing, stage) for stage in stages] + [entry]:
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
     experiments.delay_sweep(SystemConfig(), [0.5], scheme, n_slots=2000, n_reps=4,
                             master_seed=7, jobs=1)
-    assert calls == dict.fromkeys((*stages, entry), 4)
+    assert calls == dict.fromkeys((*stages, entry[1]), 4)
