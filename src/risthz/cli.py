@@ -4,6 +4,9 @@ Subcommands: solve, feasibility, blockage-sweep, misalignment-sweep,
 strict-hc, queue-sim, oracle-check, config.  Every experiment writes a
 CSV (RFC-4180, shortest round-trip float formatting) plus a JSON run
 manifest; re-running from a manifest reproduces the CSV byte-for-byte.
+``main`` and ``run_from_manifest`` share ``_run``, which resolves the
+config once (a replay's from the manifest, in memory) and calls the
+subcommand's handler as ``handler(args, cfg)``.
 
 Exit codes: 0 success, 1 config or usage error, 2 numerical
 non-convergence, 3 infeasibility (``strict-hc``: after writing all points).
@@ -36,6 +39,7 @@ from .config import (
     SystemConfig,
     default_config_text,
     load_config,
+    parse_config_text,
 )
 
 EXIT_OK = 0
@@ -84,13 +88,6 @@ def parse_grid(spec: str) -> list[float]:
     return [float(x0 + i * dx) for i in range(n)]
 
 
-def _load_cfg(args) -> SystemConfig:
-    cfg = load_config(args.config) if args.config else SystemConfig()
-    if getattr(args, "alpha", None) is not None:
-        cfg = cfg.with_(alpha=args.alpha)
-    return cfg
-
-
 def _write_manifest(args, cfg: SystemConfig) -> None:
     """Record the run beside its ``--out`` file for ``run_from_manifest``."""
     from .experiments import config_hash
@@ -130,20 +127,18 @@ def _emit(write, args, cfg: SystemConfig) -> None:
                           f"{exc.strerror or exc}") from None
 
 
-def cmd_config(args) -> int:
+def cmd_config(args, cfg: SystemConfig) -> int:
     if args.show_defaults:
         sys.stdout.write(default_config_text())
     else:
-        cfg = _load_cfg(args)
         json.dump(cfg.as_dict(), sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
     return EXIT_OK
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args, cfg: SystemConfig) -> int:
     from .optimizer import sca_solve
 
-    cfg = _load_cfg(args)
     budget = derive_link_budget(cfg)
     hook = None
     if args.trace:
@@ -182,24 +177,22 @@ def _require_at_least(flag: str, value: int, least: int) -> None:
         raise ConfigError(f"{flag} must be >= {least}, got {value}")
 
 
-def cmd_sweep(sweep: str, grid_dest: str, args) -> int:
+def cmd_sweep(sweep: str, grid_dest: str, args, cfg: SystemConfig) -> int:
     """``experiments.<sweep>(cfg, grid, jobs=...)`` over the grid option
     ``grid_dest``; the driver is looked up on every call, so a caller
     that replaced the module attribute gets its replacement."""
     from . import experiments
 
     _require_at_least("--jobs", args.jobs, 1)
-    cfg = _load_cfg(args)
     grid = parse_grid(getattr(args, grid_dest))
     _emit(getattr(experiments, sweep)(cfg, grid, jobs=args.jobs).write_csv, args, cfg)
     return EXIT_OK
 
 
-def cmd_strict_hc(args) -> int:
+def cmd_strict_hc(args, cfg: SystemConfig) -> int:
     from .experiments import strict_hc_sweep
 
     _require_at_least("--jobs", args.jobs, 1)
-    cfg = _load_cfg(args)
     res = strict_hc_sweep(
         cfg,
         parse_grid(args.sigma_grid),
@@ -216,13 +209,13 @@ def cmd_strict_hc(args) -> int:
     return EXIT_INFEASIBLE if bad else EXIT_OK
 
 
-def cmd_queue_sim(args) -> int:
+def cmd_queue_sim(args, cfg: SystemConfig) -> int:
     from .experiments import delay_sweep
 
     _require_at_least("--slots", args.slots, MIN_DIAGNOSTIC_SLOTS)
     _require_at_least("--reps", args.reps, 1)
+    _require_at_least("--seed", args.seed, 0)
     _require_at_least("--jobs", args.jobs, 1)
-    cfg = _load_cfg(args)
     grid = parse_grid(args.alpha_grid)
     res = delay_sweep(
         cfg,
@@ -237,13 +230,13 @@ def cmd_queue_sim(args) -> int:
     return EXIT_OK
 
 
-def cmd_oracle_check(args) -> int:
+def cmd_oracle_check(args, cfg: SystemConfig) -> int:
     import numpy as np
 
     from .optimizer import random_config, sca_solve, structural_solve
 
     _require_at_least("--n", args.n, 1)
-    cfg = _load_cfg(args)
+    _require_at_least("--seed", args.seed, 0)
     rng = np.random.default_rng(args.seed)
     failures = 0
     for i in range(args.n):
@@ -354,31 +347,31 @@ def run_from_manifest(manifest_path: str, out: str) -> int:
                 argv.append(flag)
         else:
             argv.extend([flag, str(value)])
-    import tempfile
-
-    # replay the resolved config through a temp key=value document
-    cfg_lines = [f"{k} = {v!r}" for k, v in manifest["config"].items()]
-    with tempfile.NamedTemporaryFile(
-        "w", suffix=".cfg", delete=False, encoding="utf-8"
-    ) as fh:
-        fh.write("\n".join(cfg_lines) + "\n")
-        cfg_path = fh.name
-    try:
-        argv.extend(["--config", cfg_path])
-        return main(argv)
-    finally:
-        os.unlink(cfg_path)
+    # the resolved config as a key = value document: repr round-trips each value
+    text = "".join(f"{k} = {v!r}\n" for k, v in manifest["config"].items())
+    return _run(build_parser().parse_args(argv), text)
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(args, config_text: str | None = None) -> int:
+    """Run the parsed subcommand on its config, resolved once: from
+    ``config_text`` when given, else ``--config`` over the defaults, then
+    ``--alpha``.  A ``ConfigError`` prints one line and exits 1."""
     args._t0 = time.time()
     try:
-        return args.func(args)
+        if config_text is not None:
+            cfg = parse_config_text(config_text)
+        else:
+            cfg = load_config(args.config) if args.config else SystemConfig()
+        if getattr(args, "alpha", None) is not None:
+            cfg = cfg.with_(alpha=args.alpha)
+        return args.func(args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+
+
+def main(argv=None) -> int:
+    return _run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

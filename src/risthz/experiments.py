@@ -13,10 +13,11 @@ all-HC and all-LC ends.
 Every sweep driver runs one point function per grid value through
 ``_sweep``, which returns each point's records in grid order.  Sweep
 points are independent; with ``jobs > 1`` they are evaluated in a
-process pool opened by ``_process_pool``.  A delay sweep over several
-schemes runs every scheme's points through one ``_sweep``.  Simulation
-seeds derive from a master seed via ``numpy.random.SeedSequence(
-[master_seed, grid_index, replication])``, the same under every scheme.
+process pool opened by ``_process_pool``, one worker per point at most.
+A delay sweep over several schemes runs every scheme's points through
+one ``_sweep``.  Simulation seeds derive from a master seed via
+``numpy.random.SeedSequence([master_seed, grid_index, replication])``,
+the same under every scheme.
 
 The solver sweeps need only ``math``: numpy and the simulator
 (``queueing``) are imported on the delay-sweep path, ``concurrent.futures``
@@ -108,13 +109,16 @@ def config_hash(cfg: SystemConfig) -> str:
 def _sweep(point, values, jobs: int) -> SweepResult:
     """Records of ``point(i, v)`` over the grid ``values`` as floats, in
     grid order; ``point`` returns a list of records for grid index i and
-    value v, and runs in a pool of ``jobs`` processes when ``jobs > 1``."""
+    value v.  A pool forks all its workers at the first submit, so it gets
+    ``min(jobs, len(values))`` of them, and the points run serially when
+    that is 1."""
     grid = [float(v) for v in values]
     args = (point, range(len(grid)), grid)
-    if jobs <= 1:
+    workers = min(jobs, len(grid))
+    if workers <= 1:
         nested = list(map(*args))
     else:
-        with _process_pool(jobs) as pool:
+        with _process_pool(workers) as pool:
             nested = list(pool.map(*args))
     return SweepResult([rec for recs in nested for rec in recs])
 
@@ -475,16 +479,18 @@ def delay_sweep(
     ``time_sharing``) or a sequence of them, whose records follow one
     another scheme by scheme from one run of the sweep engine.  Point i of
     the grid seeds the same way under every scheme.  Any other scheme,
-    ``n_slots`` < ``MIN_DIAGNOSTIC_SLOTS`` or ``n_reps`` < 1 raises
-    ``ValueError`` before a point runs."""
+    ``n_slots`` < ``MIN_DIAGNOSTIC_SLOTS``, ``n_reps`` < 1 or
+    ``master_seed`` < 0 raises ``ConfigError`` before a point runs."""
     schemes = (scheme,) if isinstance(scheme, str) else tuple(scheme)
     for name in schemes:
         if name not in SCHEMES:
-            raise ValueError(f"unknown scheme {name!r}")
+            raise ConfigError(f"unknown scheme {name!r}")
     if n_slots < MIN_DIAGNOSTIC_SLOTS:
-        raise ValueError(f"n_slots must be >= {MIN_DIAGNOSTIC_SLOTS}, got {n_slots}")
+        raise ConfigError(f"n_slots must be >= {MIN_DIAGNOSTIC_SLOTS}, got {n_slots}")
     if n_reps < 1:
-        raise ValueError(f"n_reps must be >= 1, got {n_reps}")
+        raise ConfigError(f"n_reps must be >= 1, got {n_reps}")
+    if master_seed < 0:
+        raise ConfigError(f"master_seed must be >= 0, got {master_seed}")
     # loads the simulator and numpy before a pool forks, so that its
     # workers inherit them rather than each importing its own
     from . import queueing  # noqa: F401

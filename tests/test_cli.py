@@ -22,27 +22,22 @@ from risthz.cli import (
     parse_grid,
     run_from_manifest,
 )
-from risthz.config import ConfigError, SystemConfig
+from risthz.config import ConfigError, SystemConfig, default_config_text
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(*args, env=None):
-    return subprocess.run(
-        [sys.executable, "-m", "risthz.cli", *args],
-        capture_output=True,
-        text=True,
-        timeout=300,
-        env=env,
-    )
-
-
-def run_python(*args):
-    """A fresh interpreter that imports risthz from this checkout's ``src``."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+def run_python(*args, env=None):
+    """A fresh interpreter that imports risthz from this checkout's ``src``,
+    in ``env`` (default: this process's environment)."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           timeout=300, env=env)
+
+
+def run_cli(*args, env=None):
+    return run_python("-m", "risthz.cli", *args, env=env)
 
 
 class TestParseGrid:
@@ -124,6 +119,15 @@ class TestSubcommands:
         proc2 = run_cli("config", "--config", str(cfg_file))
         assert proc2.returncode == EXIT_OK
         assert json.loads(proc2.stdout) == SystemConfig().as_dict()
+
+    def test_show_defaults_reads_config(self, tmp_path, capsys):
+        missing = tmp_path / "nonexistent.cfg"
+        assert main(["config", "--show-defaults", "--config", str(missing)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: cannot read {missing}")
+        cfg_file = tmp_path / "alpha.cfg"
+        cfg_file.write_text("alpha = 0.3\n")
+        assert main(["config", "--show-defaults", "--config", str(cfg_file)]) == EXIT_OK
+        assert capsys.readouterr().out == default_config_text()
 
     def test_narrow_beam_solves(self, tmp_path):
         # the equivalent-width formula's e^{-v^2} underflows at this beam
@@ -294,6 +298,18 @@ class TestImports:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stderr.splitlines()[-1].split() == loaded
 
+    def test_replay_writes_no_temp_file(self, tmp_path):
+        out, rerun = tmp_path / "f.csv", tmp_path / "g.csv"
+        assert main(["feasibility", "--alpha-grid", "0:0.5:1", "--jobs", "1",
+                     "--out", str(out)]) == EXIT_OK
+        code = ("import sys\nfrom risthz.cli import run_from_manifest\n"
+                "rc = run_from_manifest(sys.argv[1], sys.argv[2])\n"
+                "print('tempfile' in sys.modules)\nsys.exit(rc)\n")
+        proc = run_python("-S", "-c", code, f"{out}.manifest.json", str(rerun))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.split() == ["False"]
+        assert rerun.read_bytes() == out.read_bytes()
+
 
 class TestArgumentBounds:
     @pytest.mark.parametrize("argv, message", [
@@ -304,6 +320,8 @@ class TestArgumentBounds:
         ("feasibility --jobs 0", "--jobs must be >= 1, got 0"),
         ("strict-hc --jobs 0", "--jobs must be >= 1, got 0"),
         ("oracle-check --n 0", "--n must be >= 1, got 0"),
+        ("queue-sim --alpha-grid 0.5:1:0.5 --seed -1", "--seed must be >= 0, got -1"),
+        ("oracle-check --seed -1", "--seed must be >= 0, got -1"),
         ("strict-hc --target 0", "target must lie in (0, 1], got 0.0"),
         ("strict-hc --alpha-min -0.5", "alpha_min must lie in [0, 1], got -0.5"),
         ("feasibility --alpha-grid 0:nan:1",
@@ -313,8 +331,8 @@ class TestArgumentBounds:
         ("strict-hc --sigma-grid 0:inf:1",
          "bad grid spec '0:inf:1': start, step and end must be finite"),
     ], ids=["reps-0", "slots-50", "slots-0", "queue-jobs--1", "feasibility-jobs-0",
-            "strict-jobs-0", "n-0", "target-0", "alpha-min-neg", "grid-nan-step",
-            "grid-inf-end", "grid-inf-step"])
+            "strict-jobs-0", "n-0", "queue-seed--1", "oracle-seed--1", "target-0",
+            "alpha-min-neg", "grid-nan-step", "grid-inf-end", "grid-inf-step"])
     def test_out_of_range_is_config_error(self, capsys, argv, message):
         assert main(argv.split()) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
@@ -398,6 +416,17 @@ class TestManifests:
         rc = run_from_manifest(str(out_a) + ".manifest.json", str(out_b))
         assert rc == EXIT_OK
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_replay_of_unknown_config_key_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        assert main(["solve", "--alpha", "0.4", "--out", str(out)]) == EXIT_OK
+        manifest_path = tmp_path / "s.json.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"]["no_such_knob"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_from_manifest(str(manifest_path), str(tmp_path / "t.json")) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: unknown config keys: no_such_knob\n"
 
     def test_manifest_contents(self, tmp_path):
         out = tmp_path / "m.csv"

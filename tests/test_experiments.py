@@ -44,6 +44,28 @@ from risthz.experiments import (
 )
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The ``max_workers`` of each pool a sweep opens; every pool maps
+    its points serially in this process."""
+    opened = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(experiments, "_process_pool", SerialPool)
+    return opened
+
+
 class TestFeasibilityRegion:
     def test_single_point_grid(self, cfg, budget):
         res = feasibility_region(cfg, [0.5])
@@ -308,6 +330,17 @@ class TestSweeps:
         idx = header.index("A_max")
         assert float(lines[1].split(",")[idx]) == res.records[0]["A_max"]
 
+    def test_pool_has_at_most_one_worker_per_point(self, pools):
+        # a pool forks all its workers at its first submit
+        def point(i, v):
+            return [{"i": i, "v": v}]
+
+        res = experiments._sweep(point, [0.1, 0.2, 0.3], jobs=64)
+        assert res.records == [{"i": 0, "v": 0.1}, {"i": 1, "v": 0.2}, {"i": 2, "v": 0.3}]
+        assert pools == [3]
+        assert experiments._sweep(point, [0.5], jobs=8).records == [{"i": 0, "v": 0.5}]
+        assert pools == [3]
+
     def test_config_hash_stable(self, cfg):
         assert config_hash(cfg) == config_hash(SystemConfig())
         assert config_hash(cfg) != config_hash(cfg.with_(q_d=0.31))
@@ -536,28 +569,13 @@ class TestDelaySweep:
         assert res.records[0]["scheme"] == "time_sharing"
         assert math.isfinite(res.records[0]["tau_l"])
 
-    def test_schemes_share_one_pool(self, cfg, monkeypatch):
+    def test_schemes_share_one_pool(self, cfg, pools):
         # both schemes' points go through one sweep engine run, and so
         # through one pool, in the order and under the seeds of two sweeps
-        pools = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            map = staticmethod(map)
-
         grid = [0.2, 0.6]
         want = [rec for scheme in experiments.SCHEMES
                 for rec in delay_sweep(cfg, grid, scheme, n_slots=500, n_reps=2,
                                        master_seed=4).records]
-        monkeypatch.setattr(experiments, "_process_pool", SerialPool)
         got = delay_sweep(cfg, grid, experiments.SCHEMES, n_slots=500, n_reps=2,
                           master_seed=4, jobs=2)
         assert pools == [2]
@@ -631,6 +649,7 @@ class TestDelaySweep:
         ({"n_slots": -5}, "n_slots must be >= 100, got -5"),
         ({"n_slots": 0}, "n_slots must be >= 100, got 0"),
         ({"n_slots": 50}, "n_slots must be >= 100, got 50"),
+        ({"master_seed": -1}, "master_seed must be >= 0, got -1"),
     ])
     def test_bad_sizes_rejected_before_any_point(self, cfg, monkeypatch, kwargs, match):
         def no_call(*_args, **_kwargs):
