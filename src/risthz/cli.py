@@ -14,7 +14,8 @@ non-convergence, 3 infeasibility (``strict-hc``: after writing all points).
 A run imports only what its subcommand uses: each handler imports the
 solver, the sweep drivers or numpy itself, so ``config``, ``solve`` and
 the solver sweeps start without numpy, and only ``queue-sim`` and
-``oracle-check`` load it.
+``oracle-check`` load it.  ``_run`` checks ``--jobs``, which the solver
+sweeps accept and only ``queue-sim``'s process pool uses.
 """
 
 from __future__ import annotations
@@ -63,8 +64,9 @@ def parse_grid(spec: str) -> list[float]:
 
     Point i is the float nearest the exact decimal start + i step of the
     spec text, so ``0:0.1:1`` holds 0.3, not 0.1 + 0.1 + 0.1 rounded.
-    A grid of more than ``MAX_GRID_POINTS`` points raises ``ConfigError``
-    before any point is built.
+    A grid of more than ``MAX_GRID_POINTS`` points, or with a nonzero
+    part that underflows a double, raises ``ConfigError`` before any
+    point is built.
     """
     parts = spec.split(":")
     try:
@@ -74,13 +76,20 @@ def parse_grid(spec: str) -> list[float]:
     if not all(map(math.isfinite, (start, step_, end))):
         raise ConfigError(f"bad grid spec {spec!r}: start, step and end must be finite")
     # imported here: decimal costs ~2 ms, and only grid options need it
-    from decimal import Decimal
+    from decimal import Decimal, InvalidOperation
     from fractions import Fraction
 
-    x0, dx, x1 = (Fraction(Decimal(x)) for x in parts)
+    try:
+        exact = [Decimal(x) for x in parts]
+    except InvalidOperation:  # an exponent beyond decimal's own range
+        raise ConfigError(f"bad grid spec {spec!r}: exponent out of range") from None
     # the float step: a positive step that rounds to 0 would never reach end
-    if step_ <= 0 or x1 < x0:
+    if step_ <= 0 or exact[2] < exact[0]:
         raise ConfigError(f"bad grid spec {spec!r}: need step > 0 and end >= start")
+    for x, value, dec in zip(parts, (start, step_, end), exact):
+        if value == 0 and dec != 0:  # reads as 0.0; its exact Fraction takes seconds
+            raise ConfigError(f"bad grid spec {spec!r}: {x} underflows a double")
+    x0, dx, x1 = map(Fraction, exact)
     n = (x1 - x0) // dx + 1
     if n > MAX_GRID_POINTS:
         raise ConfigError(f"bad grid spec {spec!r}: {Decimal(n):.6g} points, "
@@ -178,27 +187,21 @@ def _require_at_least(flag: str, value: int, least: int) -> None:
 
 
 def cmd_sweep(sweep: str, grid_dest: str, args, cfg: SystemConfig) -> int:
-    """``experiments.<sweep>(cfg, grid, jobs=...)`` over the grid option
+    """``experiments.<sweep>(cfg, grid)`` over the grid option
     ``grid_dest``; the driver is looked up on every call, so a caller
     that replaced the module attribute gets its replacement."""
     from . import experiments
 
-    _require_at_least("--jobs", args.jobs, 1)
     grid = parse_grid(getattr(args, grid_dest))
-    _emit(getattr(experiments, sweep)(cfg, grid, jobs=args.jobs).write_csv, args, cfg)
+    _emit(getattr(experiments, sweep)(cfg, grid).write_csv, args, cfg)
     return EXIT_OK
 
 
 def cmd_strict_hc(args, cfg: SystemConfig) -> int:
     from .experiments import strict_hc_sweep
 
-    _require_at_least("--jobs", args.jobs, 1)
     res = strict_hc_sweep(
-        cfg,
-        parse_grid(args.sigma_grid),
-        alpha_min=args.alpha_min,
-        target=args.target,
-        jobs=args.jobs,
+        cfg, parse_grid(args.sigma_grid), alpha_min=args.alpha_min, target=args.target
     )
     _emit(res.write_csv, args, cfg)
     unreachable = (r["sigma_m"] for r in res.records if not r["feasible"])
@@ -215,7 +218,6 @@ def cmd_queue_sim(args, cfg: SystemConfig) -> int:
     _require_at_least("--slots", args.slots, MIN_DIAGNOSTIC_SLOTS)
     _require_at_least("--reps", args.reps, 1)
     _require_at_least("--seed", args.seed, 0)
-    _require_at_least("--jobs", args.jobs, 1)
     grid = parse_grid(args.alpha_grid)
     res = delay_sweep(
         cfg,
@@ -288,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", help="output path (manifest written alongside)")
         if jobs:
             p.add_argument("--jobs", type=int, default=_usable_cores(),
-                           help="worker processes")
+                           help="worker processes; only queue-sim starts them")
         if grid:
             flag, default, param = grid
             p.add_argument(flag, default=default, help=f"{param} grid start:step:end")
@@ -355,7 +357,8 @@ def run_from_manifest(manifest_path: str, out: str) -> int:
 def _run(args, config_text: str | None = None) -> int:
     """Run the parsed subcommand on its config, resolved once: from
     ``config_text`` when given, else ``--config`` over the defaults, then
-    ``--alpha``.  A ``ConfigError`` prints one line and exits 1."""
+    ``--alpha``; ``--jobs`` is checked before the handler runs.  A
+    ``ConfigError`` prints one line and exits 1."""
     args._t0 = time.time()
     try:
         if config_text is not None:
@@ -364,6 +367,8 @@ def _run(args, config_text: str | None = None) -> int:
             cfg = load_config(args.config) if args.config else SystemConfig()
         if getattr(args, "alpha", None) is not None:
             cfg = cfg.with_(alpha=args.alpha)
+        if "jobs" in vars(args):
+            _require_at_least("--jobs", args.jobs, 1)
         return args.func(args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

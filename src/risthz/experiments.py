@@ -11,17 +11,16 @@ frontier (``optimizer.Frontier``); time sharing is the chord between its
 all-HC and all-LC ends.
 
 Every sweep driver runs one point function per grid value through
-``_sweep``, which returns each point's records in grid order.  Sweep
-points are independent; with ``jobs > 1`` they are evaluated in a
-process pool opened by ``_process_pool``, one worker per point at most.
-A delay sweep over several schemes runs every scheme's points through
-one ``_sweep``.  Simulation seeds derive from a master seed via
+``_sweep``, which returns each point's records in grid order, in the
+calling process; only ``delay_sweep`` spreads them over a process pool.
+It runs the points of several schemes through one ``_sweep``, and seeds
+each simulation from a master seed via
 ``numpy.random.SeedSequence([master_seed, grid_index, replication])``,
 the same under every scheme.
 
-The solver sweeps need only ``math``: numpy and the simulator
-(``queueing``) are imported on the delay-sweep path, ``concurrent.futures``
-when a pool opens and ``hashlib`` in ``config_hash``, each on first use.
+The solver sweeps need only ``math``: numpy, the simulator
+(``queueing``) and a pool's ``concurrent.futures`` are imported on the
+delay-sweep path and ``hashlib`` in ``config_hash``, each on first use.
 """
 
 from __future__ import annotations
@@ -106,12 +105,12 @@ def config_hash(cfg: SystemConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _sweep(point, values, jobs: int) -> SweepResult:
+def _sweep(point, values, jobs: int = 1) -> SweepResult:
     """Records of ``point(i, v)`` over the grid ``values`` as floats, in
     grid order; ``point`` returns a list of records for grid index i and
-    value v.  A pool forks all its workers at the first submit, so it gets
-    ``min(jobs, len(values))`` of them, and the points run serially when
-    that is 1."""
+    value v.  Only ``delay_sweep`` passes ``jobs``.  A pool forks all its
+    workers at the first submit, so it gets ``min(jobs, len(values))`` of
+    them, and the points run serially when that is 1."""
     grid = [float(v) for v in values]
     args = (point, range(len(grid)), grid)
     workers = min(jobs, len(grid))
@@ -124,7 +123,7 @@ def _sweep(point, values, jobs: int) -> SweepResult:
 
 
 def _process_pool(max_workers: int):
-    """The sweeps' one way to a process pool; ``concurrent.futures``,
+    """The delay sweep's one way to a process pool; ``concurrent.futures``,
     with multiprocessing, is imported on the first call."""
     from concurrent.futures import ProcessPoolExecutor
 
@@ -155,15 +154,10 @@ def operating_point(cfg: SystemConfig, alpha: float) -> OperatingPoint:
     )
 
 
-def feasibility_region(
-    cfg: SystemConfig, alpha_grid, jobs: int = 1
-) -> SweepResult:
-    """Maximum stabilizable arrival rate (as throughput) over the HC fraction."""
-    return _sweep(partial(_feasibility_point, cfg), alpha_grid, jobs)
-
-
-def _feasibility_point(cfg: SystemConfig, _index: int, alpha: float) -> list[dict]:
-    return [asdict(operating_point(cfg, alpha))]
+def feasibility_region(cfg: SystemConfig, alpha_grid, jobs: int = 1) -> SweepResult:
+    """Maximum stabilizable arrival rate (as throughput) over the HC
+    fraction.  ``jobs`` is ignored, accepted for existing callers."""
+    return _sweep(lambda _index, alpha: [asdict(operating_point(cfg, alpha))], alpha_grid)
 
 
 def argmax_unimodal(fn, lo: float, hi: float, tol: float, n_prescan: int = 21,
@@ -248,16 +242,16 @@ def _three_alpha_records(cfg: SystemConfig, name: str, _index: int, value: float
             for label, alpha in (("0", 0.0), ("alpha_T", a_t), ("1", 1.0))]
 
 
-def blockage_sweep(cfg: SystemConfig, q_d_grid, jobs: int = 1) -> SweepResult:
+def blockage_sweep(cfg: SystemConfig, q_d_grid) -> SweepResult:
     """Throughput/outage versus direct-path blockage probability, at
     alpha in {0, alpha_T*(q_d), 1} (tradeoff point recomputed per grid point)."""
-    return _sweep(partial(_three_alpha_records, cfg, "q_d"), q_d_grid, jobs)
+    return _sweep(partial(_three_alpha_records, cfg, "q_d"), q_d_grid)
 
 
-def misalignment_sweep(cfg: SystemConfig, sigma_grid, jobs: int = 1) -> SweepResult:
+def misalignment_sweep(cfg: SystemConfig, sigma_grid) -> SweepResult:
     """Throughput/outage versus pointing-error scale, with
     sigma_md = sigma_m and sigma_mr = 2 sigma_m."""
-    return _sweep(partial(_three_alpha_records, cfg, "sigma_m"), sigma_grid, jobs)
+    return _sweep(partial(_three_alpha_records, cfg, "sigma_m"), sigma_grid)
 
 
 def adapt_beamwidth(cfg: SystemConfig, target_P_out_h: float) -> tuple[float, float]:
@@ -366,7 +360,6 @@ def strict_hc_sweep(
     sigma_grid,
     alpha_min: float = 0.3,
     target: float = 0.05,
-    jobs: int = 1,
 ) -> SweepResult:
     """Strict-HC scenario: hold P_out_h at ``target`` by beamwidth
     adaptation and compare time sharing at alpha_min, MC-SC at
@@ -377,7 +370,7 @@ def strict_hc_sweep(
         raise ConfigError(f"target must lie in (0, 1], got {target!r}")
     if not 0.0 <= alpha_min <= 1.0:
         raise ConfigError(f"alpha_min must lie in [0, 1], got {alpha_min!r}")
-    return _sweep(partial(_strict_hc_point, cfg, alpha_min, target), sigma_grid, jobs)
+    return _sweep(partial(_strict_hc_point, cfg, alpha_min, target), sigma_grid)
 
 
 # strict-HC CSV columns, the same whether or not a point is reachable

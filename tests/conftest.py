@@ -1,4 +1,5 @@
-"""Shared fixtures: the default system configuration and its link budget.
+"""Shared fixtures: the default system configuration, its link budget,
+and a recording stand-in for the sweeps' process pool.
 
 Property tests run under a derandomized Hypothesis profile so that every
 run draws the same examples and the suite time stays bounded.
@@ -7,6 +8,7 @@ run draws the same examples and the suite time stays bounded.
 import pytest
 from hypothesis import settings
 
+from risthz import experiments
 from risthz.channel import derive_link_budget
 from risthz.config import SystemConfig
 
@@ -22,3 +24,25 @@ def cfg():
 @pytest.fixture(scope="session")
 def budget(cfg):
     return derive_link_budget(cfg)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The ``max_workers`` of each pool a sweep opens; every pool maps
+    its points serially in this process."""
+    opened = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(experiments, "_process_pool", SerialPool)
+    return opened

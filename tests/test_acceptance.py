@@ -83,7 +83,7 @@ def test_criterion_2_tradeoff_anchors(cfg):
 
 
 def test_criterion_3_blockage_sweep(cfg):
-    res = blockage_sweep(cfg, [0.0, 0.5], jobs=2)
+    res = blockage_sweep(cfg, [0.0, 0.5])
     rec = {(r["q_d"], r["alpha_label"]): r for r in res.records}
     thr_q0 = rec[(0.0, "0")]["throughput_total"]
     thr_q5 = rec[(0.5, "0")]["throughput_total"]

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -82,6 +83,31 @@ class TestParseGrid:
 
     def test_largest_grid_accepted(self):
         assert len(parse_grid("0:1:99999")) == MAX_GRID_POINTS == 100_000
+
+    @pytest.mark.parametrize("spec, message", [
+        ("1e-999999:1:2", "1e-999999 underflows a double"),
+        ("-1e-400:1:1", "-1e-400 underflows a double"),
+        ("1e-99999999999999999999:1:2", "exponent out of range"),
+    ])
+    def test_underflowing_part_is_config_error(self, spec, message):
+        # a part that reads as 0.0 would build another grid than its text
+        with pytest.raises(ConfigError, match=re.escape(f"{spec!r}: {message}")):
+            parse_grid(spec)
+
+    @pytest.mark.parametrize("spec", ["0:1e-9999999:1", "1e-9999999:1:2", "0:1:1e-9999999"])
+    def test_huge_exponent_rejected_at_once(self, spec):
+        # an exact 10**9999999 takes seconds to build
+        t0 = time.perf_counter()
+        with pytest.raises(ConfigError):
+            parse_grid(spec)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_subnormal_parts_accepted(self):
+        assert parse_grid("1e-320:1e-320:2e-320") == [1e-320, 2e-320]
+
+    def test_end_below_start_by_less_than_a_double(self):
+        with pytest.raises(ConfigError, match="need step > 0 and end >= start"):
+            parse_grid("0.30000000000000001:1:0.3")
 
 
 class TestSubcommands:
@@ -278,22 +304,23 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         loaded = set(proc.stdout.split())
         assert "risthz.cli" in loaded
-        assert not loaded & {"numpy", "concurrent.futures", "hashlib", "tempfile",
-                             "risthz.queueing", "risthz.experiments"}
+        assert not loaded & {"numpy", "concurrent.futures", "multiprocessing", "hashlib",
+                             "tempfile", "risthz.queueing", "risthz.experiments"}
 
     @pytest.mark.parametrize("argv, loaded", [
         (["config", "--show-defaults"], []),
         (["solve", "--alpha", "0.5"], []),
         (["feasibility", "--alpha-grid", "0:0.5:1", "--jobs", "1"], []),
-        (["feasibility", "--alpha-grid", "0:0.5:1", "--jobs", "2"], ["concurrent.futures"]),
+        (["feasibility", "--alpha-grid", "0:0.5:1", "--jobs", "2"], []),
+        (["strict-hc", "--sigma-grid", "0.04:0.05:0.09", "--jobs", "2"], []),
         (["queue-sim", "--alpha-grid", "0.5:1:0.5", "--slots", "200", "--jobs", "1"], ["numpy"]),
         (["oracle-check", "--n", "1"], ["numpy"]),
-    ], ids=["config", "solve", "feasibility-jobs1", "feasibility-jobs2", "queue-sim",
-            "oracle-check"])
+    ], ids=["config", "solve", "feasibility-jobs1", "feasibility-jobs2", "strict-hc-jobs2",
+            "queue-sim", "oracle-check"])
     def test_numpy_and_pool_load_only_where_used(self, argv, loaded):
         code = ("import sys\nfrom risthz.cli import main\nrc = main(sys.argv[1:])\n"
-                "print(*(m for m in ('concurrent.futures', 'numpy') if m in sys.modules),"
-                " file=sys.stderr)\nsys.exit(rc)\n")
+                "print(*(m for m in ('concurrent.futures', 'multiprocessing', 'numpy')"
+                " if m in sys.modules), file=sys.stderr)\nsys.exit(rc)\n")
         proc = run_python("-c", code, *argv)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stderr.splitlines()[-1].split() == loaded
@@ -309,6 +336,30 @@ class TestImports:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout.split() == ["False"]
         assert rerun.read_bytes() == out.read_bytes()
+
+
+class TestProcessPools:
+    """Only ``queue-sim`` hands ``--jobs`` to a process pool."""
+
+    @pytest.mark.parametrize("argv", [
+        "feasibility --alpha-grid 0.2:0.4:0.6",
+        "blockage-sweep --qd-grid 0:0.3:0.3",
+        "misalignment-sweep --sigma-grid 0.08:0.12:0.2",
+        "strict-hc --sigma-grid 0.04:0.05:0.09",
+    ])
+    def test_solver_sweeps_open_no_pool(self, tmp_path, pools, argv):
+        outs = []
+        for jobs in ("1", "4"):
+            out = tmp_path / f"{jobs}.csv"
+            assert main(argv.split() + ["--jobs", jobs, "--out", str(out)]) == EXIT_OK
+            outs.append(out.read_bytes())
+        assert pools == []
+        assert outs[0] == outs[1]
+
+    def test_queue_sim_opens_one_pool(self, pools):
+        argv = "queue-sim --scheme both --alpha-grid 0.2:0.4:0.6 --slots 500 --jobs 2"
+        assert main(argv.split()) == EXIT_OK
+        assert pools == [2]
 
 
 class TestArgumentBounds:

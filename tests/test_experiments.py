@@ -4,7 +4,6 @@ import dataclasses
 import math
 import sys
 import threading
-from functools import partial
 
 import numpy as np
 import pytest
@@ -44,28 +43,6 @@ from risthz.experiments import (
 )
 
 
-@pytest.fixture
-def pools(monkeypatch):
-    """The ``max_workers`` of each pool a sweep opens; every pool maps
-    its points serially in this process."""
-    opened = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            opened.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        map = staticmethod(map)
-
-    monkeypatch.setattr(experiments, "_process_pool", SerialPool)
-    return opened
-
-
 class TestFeasibilityRegion:
     def test_single_point_grid(self, cfg, budget):
         res = feasibility_region(cfg, [0.5])
@@ -89,23 +66,14 @@ class TestFeasibilityRegion:
         assert all(vals[i + 1] <= vals[i] + slack for i in range(k, 20))
 
     def test_parallel_matches_serial(self, cfg, tmp_path):
-        # every sweep through the shared engine, compared as CSV bytes:
-        # the strict-HC grid has an unreachable point, whose NaNs come
-        # back from the pool as new objects
-        sweeps = [
-            partial(feasibility_region, cfg, [0.2, 0.6]),
-            partial(blockage_sweep, cfg, [0.0, 0.3]),
-            partial(misalignment_sweep, cfg, [0.08, 0.2]),
-            partial(strict_hc_sweep, cfg, [0.14, 0.24]),
-            partial(delay_sweep, cfg, [0.3, 0.7], "time_sharing", n_slots=500, n_reps=2),
-        ]
-        for i, sweep in enumerate(sweeps):
-            outs = []
-            for jobs in (1, 2):
-                path = tmp_path / f"{i}-{jobs}.csv"
-                sweep(jobs=jobs).write_csv(str(path))
-                outs.append(path.read_bytes())
-            assert outs[0] == outs[1], sweep.func.__name__
+        # the one sweep with a pool path, compared as CSV bytes
+        outs = []
+        for jobs in (1, 2):
+            path = tmp_path / f"{jobs}.csv"
+            delay_sweep(cfg, [0.3, 0.7], "time_sharing", n_slots=500, n_reps=2,
+                        jobs=jobs).write_csv(str(path))
+            outs.append(path.read_bytes())
+        assert outs[0] == outs[1]
 
 
 class TestArgmaxUnimodal:
