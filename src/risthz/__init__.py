@@ -41,7 +41,7 @@ _EXPORTS = {
         "structural_solve",
         "update_mu",
     ),
-    "queueing": ("QueueTrace", "SlotBuffers", "simulate", "stability_diagnostic"),
+    "queueing": ("QueueTrace", "SlotBuffers", "draw_slots", "simulate", "stability_diagnostic"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -13,10 +13,10 @@ all-HC and all-LC ends.
 Every sweep driver runs one point function per grid value through
 ``_sweep``, which returns each point's records in grid order, in the
 calling process; only ``delay_sweep`` spreads them over a process pool.
-It runs the points of several schemes through one ``_sweep``, and seeds
-each simulation from a master seed via
+Its unit of work is one grid value: each replication there is drawn
+once, from a master seed via
 ``numpy.random.SeedSequence([master_seed, grid_index, replication])``,
-the same under every scheme.
+and every requested scheme serves that one draw.
 
 The solver sweeps need only ``math``: numpy, the simulator
 (``queueing``) and a pool's ``concurrent.futures`` are imported on the
@@ -403,59 +403,50 @@ def _strict_hc_point(
 
 
 def simulate_time_sharing(
-    cfg: SystemConfig, budget, tsp: TimeSharingPoint, buffers: queueing.SlotBuffers, seed
+    cfg: SystemConfig, budget, tsp: TimeSharingPoint, buffers: queueing.SlotBuffers
 ):
-    """Queue simulation under the time-sharing baseline in ``buffers``
+    """Serve the slots drawn in ``buffers`` under the time-sharing baseline
     (see ``queueing.simulate_phases``): HC is served in a share lam of each
     slot at its phase's split with no LC interference, LC in the
-    remaining 1 - lam on the direct path at P_max with no HC to cancel.
-    Deterministic under ``seed``."""
+    remaining 1 - lam on the direct path at P_max with no HC to cancel."""
     from .queueing import simulate_phases
 
     hc, lc = PowerAllocation(tsp.p_h_d, tsp.p_h_r, 0.0), PowerAllocation(0.0, 0.0, cfg.P_max)
     return simulate_phases(cfg, budget, hc, lc, RateTargets(tsp.R_h, tsp.R_l),
-                           (tsp.lam, 1.0 - tsp.lam), buffers, seed)
+                           (tsp.lam, 1.0 - tsp.lam), buffers)
 
 
-def _delay_point(
-    cfg: SystemConfig,
-    schemes: tuple[str, ...],
-    n_grid: int,
-    n_slots: int,
-    n_reps: int,
-    master_seed: int,
-    point: int,
-    alpha: float,
-) -> list[dict]:
-    """Record of grid point ``point % n_grid`` of scheme
-    ``schemes[point // n_grid]``.  Every replication runs in this
-    thread's slot workspace, so only its summary outlives the next one."""
+def _delay_point(cfg: SystemConfig, schemes: tuple[str, ...], n_slots: int, n_reps: int,
+                 master_seed: int, index: int, alpha: float) -> list[dict]:
+    """Records of grid point ``index`` at HC fraction ``alpha``, one per
+    scheme in ``schemes`` order.  Each replication is drawn once in this
+    thread's slot workspace and served under every scheme, so only the
+    summaries outlive the next one."""
     import numpy as np
 
-    from .queueing import simulate, stability_diagnostic, thread_buffers
+    from .queueing import draw_slots, simulate, stability_diagnostic, thread_buffers
 
-    scheme, index = schemes[point // n_grid], point % n_grid
     cfg_a = cfg.with_(alpha=alpha)
     budget = derive_link_budget(cfg_a)
-    if scheme == "mcsc":
-        run = partial(simulate, cfg_a, budget, sca_solve(cfg_a, budget))
-    else:
-        run = partial(simulate_time_sharing, cfg_a, budget, time_sharing_point(cfg_a, alpha))
+    runs = [partial(simulate, cfg_a, budget, sca_solve(cfg_a, budget)) if scheme == "mcsc"
+            else partial(simulate_time_sharing, cfg_a, budget, time_sharing_point(cfg_a, alpha))
+            for scheme in schemes]
     buffers = thread_buffers(n_slots)
     keys = ("tau_h", "tau_l", "peak_q_h_norm", "peak_q_l_norm",
             "outage_rate_h", "outage_rate_l")
-    vals = []  # each rep's summary values; its trace is overwritten by the next rep
+    vals = [[] for _ in schemes]  # each scheme's summary values, rep by rep
+    verdicts = []
     for rep in range(n_reps):
-        trace = run(buffers, np.random.SeedSequence([master_seed, index, rep]))
-        if rep == 0:
-            verdict = stability_diagnostic(trace)
-        vals.append([getattr(trace, key) for key in keys])
-    rec = {"scheme": scheme, "alpha": alpha}
-    for key, col in zip(keys, zip(*vals)):
-        rec[key] = float(np.mean(col))
-    rec["stable_h"] = int(verdict["hc"])
-    rec["stable_l"] = int(verdict["lc"])
-    return [rec]
+        draw_slots(cfg_a, buffers, np.random.SeedSequence([master_seed, index, rep]))
+        for run, rows in zip(runs, vals):
+            trace = run(buffers)  # overwritten by the next scheme or rep
+            if rep == 0:
+                verdicts.append(stability_diagnostic(trace))
+            rows.append([getattr(trace, key) for key in keys])
+    return [{"scheme": scheme, "alpha": alpha,
+             **{key: float(np.mean(col)) for key, col in zip(keys, zip(*rows))},
+             "stable_h": int(verdict["hc"]), "stable_l": int(verdict["lc"])}
+            for scheme, rows, verdict in zip(schemes, vals, verdicts)]
 
 
 def delay_sweep(
@@ -470,10 +461,10 @@ def delay_sweep(
     """Queueing delay and peak-queue metrics over the HC fraction at the
     configured arrival rate, for a transmission scheme (``mcsc`` or
     ``time_sharing``) or a sequence of them, whose records follow one
-    another scheme by scheme from one run of the sweep engine.  Point i of
-    the grid seeds the same way under every scheme.  Any other scheme,
-    ``n_slots`` < ``MIN_DIAGNOSTIC_SLOTS``, ``n_reps`` < 1 or
-    ``master_seed`` < 0 raises ``ConfigError`` before a point runs."""
+    another scheme by scheme.  Each replication of grid point i is drawn
+    once and served under every scheme.  Any other scheme, an alpha
+    outside [0, 1], ``n_slots`` < ``MIN_DIAGNOSTIC_SLOTS``, ``n_reps`` < 1
+    or ``master_seed`` < 0 raises ``ConfigError`` before a point runs."""
     schemes = (scheme,) if isinstance(scheme, str) else tuple(scheme)
     for name in schemes:
         if name not in SCHEMES:
@@ -484,10 +475,14 @@ def delay_sweep(
         raise ConfigError(f"n_reps must be >= 1, got {n_reps}")
     if master_seed < 0:
         raise ConfigError(f"master_seed must be >= 0, got {master_seed}")
+    grid = list(alpha_grid)
+    for alpha in grid:
+        cfg.with_(alpha=alpha)  # raises on an alpha outside [0, 1]
     # loads the simulator and numpy before a pool forks, so that its
     # workers inherit them rather than each importing its own
     from . import queueing  # noqa: F401
 
-    grid = list(alpha_grid)
-    point = partial(_delay_point, cfg, schemes, len(grid), n_slots, n_reps, master_seed)
-    return _sweep(point, grid * len(schemes), jobs)
+    point = partial(_delay_point, cfg, schemes, n_slots, n_reps, master_seed)
+    recs, n = _sweep(point, grid, jobs).records, len(schemes)
+    # grid order within each scheme; a point's records follow schemes order
+    return SweepResult([rec for k in range(n) for rec in recs[k::n]])

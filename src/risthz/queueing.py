@@ -3,11 +3,12 @@ under either transmission scheme.
 
 Each slot serves HC in one phase and LC in another, each phase with its
 own powers and share of the slot: MC-SC superposes both streams in the
-whole slot, time sharing gives HC a share lam and LC the rest.  One
-pipeline (``simulate_phases``) draws Poisson arrivals, split into HC/LC
-fractions (fluid packets), and i.i.d. channel states per slot, decodes
-them by one rule (``decode_slots``), runs the queues and takes delays
-from Little's law.
+whole slot, time sharing gives HC a share lam and LC the rest.
+``draw_slots`` draws Poisson arrivals and i.i.d. channel states per slot;
+``simulate_phases`` serves the draw, unchanged, so that one draw serves
+every scheme (common random numbers): it decodes the slots by one rule
+(``decode_slots``), splits the arrivals into HC/LC fractions (fluid
+packets), runs the queues and takes delays from Little's law.
 
 Each queue follows Q_t = max(Q_{t-1} - s_t, 0) + a_t from an empty
 buffer, with service s_t and arrivals a_t in packets.  Q_t is the
@@ -26,10 +27,10 @@ passes, which also fixes its length.  Each stage writes only the arrays
 that ``SlotBuffers`` lists for it, with ``out=``, leaves its inputs
 unchanged and allocates no per-slot array except the integer Poisson
 draws, which numpy cannot write in place.  A trace views its workspace
-until the next simulation there.  ``experiments.delay_sweep`` runs every
-replication in its thread's workspace (``thread_buffers``) and keeps
-only each one's summary; one workspace per thread makes concurrent
-sweeps safe, at 10 float and 4 int8 arrays, 84 bytes per slot (1.7 MB
+until the next simulation there.  ``experiments.delay_sweep`` draws each
+replication once in its thread's workspace (``thread_buffers``), serves
+it under every scheme and keeps only the summaries; one workspace per
+thread makes concurrent sweeps safe, at 10 float and 4 int8 arrays, 84 bytes per slot (1.7 MB
 at 20,000 slots), held until the thread ends or asks for another length.
 """
 
@@ -46,6 +47,7 @@ from .config import MIN_DIAGNOSTIC_SLOTS, SystemConfig
 from .mcsc import PowerAllocation, RateTargets, sinr
 from .optimizer import SolveResult
 
+DRAW_FIELDS = ("A_bar", "q_d", "q_r", "sigma_md", "sigma_mr")  # a draw's inputs; not alpha
 WARMUP_FRAC = 0.1  # leading share of each trace left out of the means
 SLOPE_TOL_FACTOR = 1e-3  # unstable if fitted slope > 1e-3 * A_bar packets/slot^2
 _TINY = np.nextafter(0.0, 1.0)  # least positive double
@@ -82,13 +84,16 @@ class SlotBuffers:
     """The per-slot arrays of one simulation of ``n_slots`` >= 1 slots,
     overwritten by the next simulation in them.
 
-    Each array and the stages that write it, in pipeline order:
+    Each array and the stages that write it, in pipeline order; a draw
+    (``draw_slots``) writes the first five and ``drawn``, serving the rest:
 
     ===============  =====================================================
     arrivals         ``sample_arrivals``
     beta_d, beta_r   ``sample_channel_slots`` (int8 blockage states)
     eps_d, eps_r     ``sample_channel_slots`` (eps_d first holds the
                      blockage draws)
+    drawn            ``draw_slots`` (the config values of the draw,
+                     ``DRAW_FIELDS``; None before the first draw)
     h2, g2           ``decode_slots`` (channel gains), then
                      ``simulate_phases`` (service amounts)
     q_h, q_l         ``decode_slots`` (SINRs), then ``run_queues`` (queue
@@ -112,6 +117,7 @@ class SlotBuffers:
             setattr(self, name, np.empty(n_slots))
         for name in self.INDICATORS:
             setattr(self, name, np.empty(n_slots, dtype=np.int8))
+        self.drawn = None
 
 
 _thread_state = threading.local()
@@ -233,36 +239,46 @@ def run_queues(
     return trace
 
 
+def draw_slots(cfg: SystemConfig, buffers: SlotBuffers, seed) -> SlotBuffers:
+    """Draw arrivals, blockage and pointing errors, in that order, from one
+    generator seeded by ``seed`` (any value ``numpy.random.default_rng``
+    accepts) into ``buffers``, record the draw's ``DRAW_FIELDS`` values
+    and return ``buffers``."""
+    rng = np.random.default_rng(seed)
+    buffers.drawn = None  # no half-written draw is ever served
+    sample_arrivals(cfg, rng, buffers)
+    sample_channel_slots(cfg, rng, buffers)
+    buffers.drawn = tuple(getattr(cfg, name) for name in DRAW_FIELDS)
+    return buffers
+
+
 def simulate_phases(
     cfg: SystemConfig, budget: LinkBudget, hc: PowerAllocation, lc: PowerAllocation,
-    rates: RateTargets, shares: tuple[float, float], buffers: SlotBuffers, seed,
+    rates: RateTargets, shares: tuple[float, float], buffers: SlotBuffers,
 ) -> QueueTrace:
-    """Simulate ``buffers.n_slots`` slots serving HC at powers ``hc`` and
-    rate ``rates.R_h`` in a share ``shares[0]`` of each slot, and LC at
-    ``lc``, ``rates.R_l`` and ``shares[1]``: xi * share * T/M * R packets
-    per slot.  Arrivals, blockage and pointing errors come, in that order,
-    from one generator seeded by ``seed`` (any value
-    ``numpy.random.default_rng`` accepts).  Every stage works in
-    ``buffers``, whose arrays the trace views until the next simulation
-    there."""
-    rng = np.random.default_rng(seed)
-    arrivals = sample_arrivals(cfg, rng, buffers)
-    slots = sample_channel_slots(cfg, rng, buffers)
+    """Serve the slots drawn in ``buffers`` (``draw_slots``), HC at powers
+    ``hc`` and rate ``rates.R_h`` in a share ``shares[0]`` of each slot, and
+    LC at ``lc``, ``rates.R_l`` and ``shares[1]``: xi * share * T/M * R
+    packets per slot.  Every stage works in ``buffers``, whose arrays the
+    trace views until the next simulation there, and leaves the draw as it
+    was.  Raises ``ValueError`` unless ``buffers`` holds a draw made under
+    ``cfg``'s ``DRAW_FIELDS``; ``cfg.alpha`` may differ."""
+    if buffers.drawn != tuple(getattr(cfg, name) for name in DRAW_FIELDS):
+        raise ValueError(f"buffers hold no draw for this config's {DRAW_FIELDS}; call draw_slots")
+    slots = (buffers.beta_d, buffers.beta_r, buffers.eps_d, buffers.eps_r)
     xi_h, xi_l = decode_slots(cfg, budget, hc, lc, rates, *slots, buf=buffers)
     tm = cfg.T / cfg.M
     service_h = np.multiply(xi_h, shares[0] * tm * rates.R_h, out=buffers.h2)
     service_l = np.multiply(xi_l, shares[1] * tm * rates.R_l, out=buffers.g2)
-    return run_queues(cfg, arrivals, service_h, service_l, xi_h, xi_l, buffers)
+    return run_queues(cfg, buffers.arrivals, service_h, service_l, xi_h, xi_l, buffers)
 
 
-def simulate(
-    cfg: SystemConfig, budget: LinkBudget, solve: SolveResult, buffers: SlotBuffers, seed,
-) -> QueueTrace:
-    """Simulate the MC-SC queueing system at the operating point of ``solve``
-    in ``buffers`` (see ``simulate_phases``): both streams superposed in the
-    whole slot, HC decoded first and LC after cancelling it.  Deterministic
-    under ``seed``."""
-    return simulate_phases(cfg, budget, solve.p, solve.p, solve.R, (1.0, 1.0), buffers, seed)
+def simulate(cfg: SystemConfig, budget: LinkBudget, solve: SolveResult,
+             buffers: SlotBuffers) -> QueueTrace:
+    """Serve the slots drawn in ``buffers`` under MC-SC at the operating
+    point of ``solve`` (see ``simulate_phases``): both streams superposed
+    in the whole slot, HC decoded first and LC after cancelling it."""
+    return simulate_phases(cfg, budget, solve.p, solve.p, solve.R, (1.0, 1.0), buffers)
 
 
 def stability_diagnostic(trace: QueueTrace) -> dict[str, bool]:

@@ -361,6 +361,12 @@ class TestProcessPools:
         assert main(argv.split()) == EXIT_OK
         assert pools == [2]
 
+    def test_pool_sized_by_grid_points(self, pools):
+        # a grid value runs every scheme, so one point needs no pool
+        argv = "queue-sim --scheme both --alpha-grid 0.5:1:0.5 --slots 500 --jobs 2"
+        assert main(argv.split()) == EXIT_OK
+        assert pools == []
+
 
 class TestArgumentBounds:
     @pytest.mark.parametrize("argv, message", [
@@ -488,13 +494,15 @@ class TestManifests:
         assert manifest["config"]["q_d"] == 0.3
         assert "config_hash" in manifest and "version" in manifest
 
-    def test_queue_sim_matches_recorded_csv(self, tmp_path):
-        # recorded once by ``risthz queue-sim`` with these arguments; a change
-        # to the queue layer must leave every seeded byte where it was
+    @pytest.mark.parametrize("jobs", ["1", "2"], ids=["jobs1", "jobs2"])
+    def test_queue_sim_matches_recorded_csv(self, tmp_path, jobs):
+        # recorded once by ``risthz queue-sim`` at --jobs 1; a change to the
+        # queue layer or to the pool's unit of work must leave every seeded
+        # byte where it was
         out = tmp_path / "q.csv"
         assert main([
             "queue-sim", "--scheme", "both", "--alpha-grid", "0:0.25:1", "--slots", "2000",
-            "--reps", "2", "--seed", "3", "--jobs", "1", "--out", str(out),
+            "--reps", "2", "--seed", "3", "--jobs", jobs, "--out", str(out),
         ]) == EXIT_OK
         golden = Path(__file__).parent / "data" / "queue_sim_golden.csv"
         assert out.read_bytes() == golden.read_bytes()

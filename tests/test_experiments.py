@@ -506,7 +506,8 @@ class TestSimulateTimeSharing:
         tsp = dataclasses.replace(time_sharing_point(c, c.alpha),
                                   p_h_d=0.0, p_h_r=c.P_max)
         c = c.with_(A_bar=0.9 * tsp.A_max)
-        trace = experiments.simulate_time_sharing(c, budget, tsp, SlotBuffers(3000), seed=11)
+        trace = experiments.simulate_time_sharing(
+            c, budget, tsp, queueing.draw_slots(c, SlotBuffers(3000), seed=11))
         ref, arrivals = time_sharing_reference(c, budget, tsp, 3000, seed=11)
         assert np.array_equal(trace.arrivals, arrivals)
         assert np.array_equal(trace.xi_h, ref["xi_h"])
@@ -554,10 +555,11 @@ class TestDelaySweep:
         def reference(alpha, n_slots, seed, n_reps):
             c = cfg.with_(alpha=alpha)
             b = derive_link_budget(c)
-            traces = [simulate_time_sharing(c, b, time_sharing_point(c, alpha),
-                                            SlotBuffers(n_slots),
-                                            np.random.SeedSequence([seed, 0, rep]))
-                      for rep in range(n_reps)]
+            draws = (queueing.draw_slots(c, SlotBuffers(n_slots),
+                                         np.random.SeedSequence([seed, 0, rep]))
+                     for rep in range(n_reps))
+            traces = [simulate_time_sharing(c, b, time_sharing_point(c, alpha), work)
+                      for work in draws]
             rec = {"scheme": "time_sharing", "alpha": alpha}
             for key in ("tau_h", "tau_l", "peak_q_h_norm", "peak_q_l_norm",
                         "outage_rate_h", "outage_rate_l"):
@@ -628,6 +630,36 @@ class TestDelaySweep:
         for jobs in (1, 2):
             with pytest.raises(ValueError, match=match):
                 delay_sweep(cfg, [0.1, 0.2], experiments.SCHEMES, jobs=jobs, **kwargs)
+
+    def test_one_draw_per_replication(self, cfg, monkeypatch):
+        # both schemes of a grid point serve each replication's one draw
+        calls = {}
+
+        def counting(name):
+            stage = getattr(queueing, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return stage(*args, **kwargs)
+            return wrapper
+
+        stages = ("sample_arrivals", "sample_channel_slots", "decode_slots", "run_queues")
+        for name in stages:
+            monkeypatch.setattr(queueing, name, counting(name))
+        delay_sweep(cfg, [0.2, 0.6], experiments.SCHEMES, n_reps=3)
+        assert calls == {"sample_arrivals": 6, "sample_channel_slots": 6,
+                         "decode_slots": 12, "run_queues": 12}
+
+    def test_out_of_range_alpha_rejected_before_any_point(self, cfg, monkeypatch, pools):
+        def no_call(*_args, **_kwargs):
+            raise AssertionError("a queue ran")
+
+        monkeypatch.setattr(queueing, "run_queues", no_call)
+        grid = [0, 0.25, 0.5, 0.75, 1, 1.25]
+        for jobs in (1, 2):
+            with pytest.raises(config.ConfigError, match=r"^alpha must lie in \[0, 1\], got 1.25$"):
+                delay_sweep(cfg, grid, experiments.SCHEMES, n_slots=500, jobs=jobs)
+        assert pools == []
 
     def test_shortest_diagnostic_trace_accepted(self, cfg):
         n = queueing.MIN_DIAGNOSTIC_SLOTS

@@ -19,6 +19,7 @@ from risthz.queueing import (
     SlotBuffers,
     _lindley,
     decode_slots,
+    draw_slots,
     run_queues,
     sample_arrivals,
     sample_channel_slots,
@@ -99,15 +100,16 @@ class TestLindley:
 class TestSimulate:
     def test_zero_arrivals_all_zero(self, cfg, budget):
         res = sca_solve(cfg, budget)
-        trace = simulate(cfg.with_(A_bar=0.0), budget, res, SlotBuffers(500), seed=0)
+        idle = cfg.with_(A_bar=0.0)
+        trace = simulate(idle, budget, res, draw_slots(idle, SlotBuffers(500), seed=0))
         assert np.all(trace.q_h == 0.0)
         assert np.all(trace.q_l == 0.0)
 
     def test_seed_determinism(self, cfg, budget):
         # each trace in its own workspace, so they cannot be the same arrays
         res = sca_solve(cfg, budget)
-        a = simulate(cfg, budget, res, SlotBuffers(2000), seed=123)
-        b = simulate(cfg, budget, res, SlotBuffers(2000), seed=123)
+        a = simulate(cfg, budget, res, draw_slots(cfg, SlotBuffers(2000), seed=123))
+        b = simulate(cfg, budget, res, draw_slots(cfg, SlotBuffers(2000), seed=123))
         assert not np.shares_memory(a.q_h, b.q_h)
         assert np.array_equal(a.q_h, b.q_h)
         assert np.array_equal(a.q_l, b.q_l)
@@ -121,7 +123,7 @@ class TestSimulate:
             run = partial(simulate_time_sharing, cfg, budget, time_sharing_point(cfg, cfg.alpha))
         for n_slots in (0, -1):
             with pytest.raises(ValueError, match="n_slots must be >= 1"):
-                run(SlotBuffers(n_slots), seed=0)
+                run(draw_slots(cfg, SlotBuffers(n_slots), seed=0))
 
     def test_all_lc_point_decodes_hc_every_slot(self, cfg):
         # at alpha = 0 the solve leaves HC silent with R_h = 0, a rate every
@@ -130,13 +132,13 @@ class TestSimulate:
         b = derive_link_budget(c)
         res = sca_solve(c, b)
         assert (res.p.p_h_d, res.p.p_h_r, res.R.R_h) == (0.0, 0.0, 0.0)
-        trace = simulate(c, b, res, SlotBuffers(2000), seed=3)
+        trace = simulate(c, b, res, draw_slots(c, SlotBuffers(2000), seed=3))
         assert np.all(trace.xi_h == 1)
         assert 0 < np.mean(trace.xi_l) < 1
 
     def test_queues_never_negative(self, cfg, budget):
         res = sca_solve(cfg, budget)
-        trace = simulate(cfg, budget, res, SlotBuffers(5000), seed=5)
+        trace = simulate(cfg, budget, res, draw_slots(cfg, SlotBuffers(5000), seed=5))
         assert np.min(trace.q_h) >= 0.0
         assert np.min(trace.q_l) >= 0.0
 
@@ -147,7 +149,7 @@ class TestSimulate:
         b = derive_link_budget(cfg)
         res = sca_solve(cfg, b)
         assert res.objective > 0  # stabilizable operating point
-        trace = simulate(cfg, b, res, SlotBuffers(10000), seed=9)
+        trace = simulate(cfg, b, res, draw_slots(cfg, SlotBuffers(10000), seed=9))
         assert np.all(trace.xi_h == 1)
         first = np.mean(trace.q_h[:5000])
         second = np.mean(trace.q_h[5000:])
@@ -160,7 +162,7 @@ class TestSimulate:
                            A_bar=100.0)
         b = derive_link_budget(cfg)
         res = sca_solve(cfg.with_(A_bar=0.0), b)
-        trace = simulate(cfg, b, res, SlotBuffers(20000), seed=2)
+        trace = simulate(cfg, b, res, draw_slots(cfg, SlotBuffers(20000), seed=2))
         assert trace.tau_h <= 1.5
         assert trace.tau_l <= 1.5
 
@@ -168,7 +170,7 @@ class TestSimulate:
         # Empirical HC success rate over 1e5 slots vs an independent
         # vectorized Monte-Carlo evaluation of the decode rule (1e6 draws).
         res = sca_solve(cfg, budget)
-        trace = simulate(cfg, budget, res, SlotBuffers(100_000), seed=77)
+        trace = simulate(cfg, budget, res, draw_slots(cfg, SlotBuffers(100_000), seed=77))
 
         rng = np.random.default_rng(123456)
         n = 1_000_000
@@ -196,13 +198,21 @@ SUMMARY = ("mean_q_h", "mean_q_l", "tau_h", "tau_l", "peak_q_h_norm", "peak_q_l_
            "outage_rate_h", "outage_rate_l")
 
 
-def entries(cfg, budget):
-    """The two public simulations at the default operating points."""
+def servers(cfg, budget):
+    """The two public simulations at the default operating points, each
+    serving the draw its workspace holds."""
     return {
         "simulate": partial(simulate, cfg, budget, sca_solve(cfg, budget)),
         "simulate_time_sharing": partial(simulate_time_sharing, cfg, budget,
                                          time_sharing_point(cfg, cfg.alpha)),
     }
+
+
+def entries(cfg, budget):
+    """The two public simulations as ``run(buffers, seed)``: draw the
+    slots of ``seed`` into ``buffers``, then serve them."""
+    return {name: lambda buffers, seed, serve=serve: serve(draw_slots(cfg, buffers, seed))
+            for name, serve in servers(cfg, budget).items()}
 
 
 class TestSlotBuffers:
@@ -274,11 +284,44 @@ class TestSlotBuffers:
             assert np.array_equal(before, after)
 
 
+class TestDraw:
+    DRAW_ARRAYS = ("arrivals", "beta_d", "beta_r", "eps_d", "eps_r")
+
+    @pytest.mark.parametrize("entry", ["simulate", "simulate_time_sharing"])
+    def test_serving_leaves_the_draw_unchanged(self, cfg, budget, entry):
+        # every scheme of a delay-sweep point serves the one draw
+        work = draw_slots(cfg, SlotBuffers(2000), seed=6)
+        kept = {name: getattr(work, name).copy() for name in self.DRAW_ARRAYS}
+        servers(cfg, budget)[entry](work)
+        for name in self.DRAW_ARRAYS:
+            assert getattr(work, name).tobytes() == kept[name].tobytes(), name
+
+    @pytest.mark.parametrize("entry", ["simulate", "simulate_time_sharing"])
+    def test_serving_without_a_draw_rejected(self, cfg, budget, entry):
+        serve = servers(cfg, budget)[entry]
+        with pytest.raises(ValueError, match="draw_slots"):
+            serve(SlotBuffers(500))  # np.empty arrays, never drawn
+        work = draw_slots(cfg.with_(q_d=0.1), SlotBuffers(500), seed=1)
+        with pytest.raises(ValueError, match="draw_slots"):
+            serve(work)
+
+    @pytest.mark.parametrize("entry", ["simulate", "simulate_time_sharing"])
+    def test_draw_serves_another_alpha(self, cfg, budget, entry):
+        # alpha splits the arrivals only when the queues run
+        other = cfg.with_(alpha=0.3)
+        serve = servers(other, budget)[entry]
+        got = serve(draw_slots(cfg, SlotBuffers(2000), seed=8))
+        want = serve(draw_slots(other, SlotBuffers(2000), seed=8))
+        for name in TRACE_ARRAYS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert [getattr(got, k) for k in SUMMARY] == [getattr(want, k) for k in SUMMARY]
+
+
 class TestStabilityDiagnostic:
     def test_stable_at_feasible_point(self, cfg, budget):
         res = sca_solve(cfg, budget)
         assert min(res.delta) > 0
-        trace = simulate(cfg, budget, res, SlotBuffers(10000), seed=4)
+        trace = simulate(cfg, budget, res, draw_slots(cfg, SlotBuffers(10000), seed=4))
         verdict = stability_diagnostic(trace)
         assert verdict == {"hc": True, "lc": True}
 
@@ -286,17 +329,18 @@ class TestStabilityDiagnostic:
         hot = cfg.with_(A_bar=3000.0)  # far above the feasible rate
         res = sca_solve(hot, budget)
         assert res.objective < 0
-        trace = simulate(hot, budget, res, SlotBuffers(10000), seed=4)
+        trace = simulate(hot, budget, res, draw_slots(hot, SlotBuffers(10000), seed=4))
         verdict = stability_diagnostic(trace)
         assert not (verdict["hc"] and verdict["lc"])
 
     def test_zero_arrivals_stable(self, cfg, budget):
         res = sca_solve(cfg, budget)
-        trace = simulate(cfg.with_(A_bar=0.0), budget, res, SlotBuffers(1000), seed=0)
+        idle = cfg.with_(A_bar=0.0)
+        trace = simulate(idle, budget, res, draw_slots(idle, SlotBuffers(1000), seed=0))
         assert stability_diagnostic(trace) == {"hc": True, "lc": True}
 
     def test_short_trace_rejected(self, cfg, budget):
         res = sca_solve(cfg, budget)
-        trace = simulate(cfg, budget, res, SlotBuffers(50), seed=0)
+        trace = simulate(cfg, budget, res, draw_slots(cfg, SlotBuffers(50), seed=0))
         with pytest.raises(InsufficientDataError):
             stability_diagnostic(trace)
