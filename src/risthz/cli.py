@@ -14,8 +14,8 @@ non-convergence, 3 infeasibility (``strict-hc``: after writing all points).
 A run imports only what its subcommand uses: each handler imports the
 solver, the sweep drivers or numpy itself, so ``config``, ``solve`` and
 the solver sweeps start without numpy, and only ``queue-sim`` and
-``oracle-check`` load it.  ``_run`` checks ``--jobs``, which the solver
-sweeps accept and only ``queue-sim``'s process pool uses.
+``oracle-check`` load it.  ``_run`` checks ``--jobs``, which only
+``queue-sim``'s process pool uses and ``feasibility`` accepts.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from .config import (
     DEFAULT_N_SLOTS,
     MIN_DIAGNOSTIC_SLOTS,
     SCHEMES,
+    STRICT_HC_ALPHA_MIN,
+    STRICT_HC_TARGET,
     ConfigError,
     SystemConfig,
     default_config_text,
@@ -263,13 +265,20 @@ def cmd_oracle_check(args, cfg: SystemConfig) -> int:
     return EXIT_OK if failures == 0 else EXIT_NO_CONVERGENCE
 
 
+class _UsageError(Exception):
+    """A rejected argv, whose usage and message are already on stderr."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """Usage errors exit with ``EXIT_CONFIG``; argparse's own 2 would read
-    as numerical non-convergence.  Subparsers inherit the class."""
+    """A usage error prints argparse's usage and message and raises
+    ``_UsageError``, which ``_run`` returns as ``EXIT_CONFIG``; argparse's
+    own exit 2 would read as numerical non-convergence.  Subparsers
+    inherit the class."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        raise _UsageError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, hlp, out=True, jobs=True, grid=None):
+    def command(name, func, hlp, out=True, jobs=False, grid=None):
         """A subcommand taking ``--config``, optionally ``--out``, ``--jobs``
         and one ``start:step:end`` grid ``(flag, default, parameter)``."""
         p = sub.add_parser(name, help=hlp)
@@ -296,11 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, default=default, help=f"{param} grid start:step:end")
         return p
 
-    p = command("config", cmd_config, "show resolved or default configuration",
-                out=False, jobs=False)
+    p = command("config", cmd_config, "show resolved or default configuration", out=False)
     p.add_argument("--show-defaults", action="store_true")
 
-    p = command("solve", cmd_solve, "solve the power allocation at one alpha", jobs=False)
+    p = command("solve", cmd_solve, "solve the power allocation at one alpha")
     p.add_argument("--trace", action="store_true",
                    help="emit per-iteration solver diagnostics on stderr")
     p.add_argument("--alpha", type=float)
@@ -314,14 +322,16 @@ def build_parser() -> argparse.ArgumentParser:
          ("--sigma-grid", "0.02:0.04:0.3", "sigma_m")),
     ):
         grid_dest = grid[0][2:].replace("-", "_")
-        command(name, partial(cmd_sweep, sweep, grid_dest), hlp, grid=grid)
+        # feasibility's --jobs has no effect; the benchmark still passes it
+        command(name, partial(cmd_sweep, sweep, grid_dest), hlp,
+                jobs=name == "feasibility", grid=grid)
 
     p = command("strict-hc", cmd_strict_hc, "beamwidth-adapted strict-HC comparison",
                 grid=("--sigma-grid", "0.04:0.05:0.14", "sigma_m"))
-    p.add_argument("--alpha-min", type=float, default=0.3)
-    p.add_argument("--target", type=float, default=0.05)
+    p.add_argument("--alpha-min", type=float, default=STRICT_HC_ALPHA_MIN)
+    p.add_argument("--target", type=float, default=STRICT_HC_TARGET)
 
-    p = command("queue-sim", cmd_queue_sim, "queueing delay/peak sweep",
+    p = command("queue-sim", cmd_queue_sim, "queueing delay/peak sweep", jobs=True,
                 grid=("--alpha-grid", "0:0.05:1", "alpha"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scheme", choices=[*SCHEMES, "both"], default="mcsc")
@@ -329,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=1)
 
     p = command("oracle-check", cmd_oracle_check, "verify SCA against the exact solver",
-                out=False, jobs=False)
+                out=False)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=50)
 
@@ -351,14 +361,19 @@ def run_from_manifest(manifest_path: str, out: str) -> int:
             argv.extend([flag, str(value)])
     # the resolved config as a key = value document: repr round-trips each value
     text = "".join(f"{k} = {v!r}\n" for k, v in manifest["config"].items())
-    return _run(build_parser().parse_args(argv), text)
+    return _run(argv, text)
 
 
-def _run(args, config_text: str | None = None) -> int:
-    """Run the parsed subcommand on its config, resolved once: from
-    ``config_text`` when given, else ``--config`` over the defaults, then
-    ``--alpha``; ``--jobs`` is checked before the handler runs.  A
-    ``ConfigError`` prints one line and exits 1."""
+def _run(argv, config_text: str | None = None) -> int:
+    """Parse ``argv`` and run its subcommand on its config, resolved
+    once: from ``config_text`` when given, else ``--config`` over the
+    defaults, then ``--alpha``; ``--jobs`` is checked before the handler
+    runs.  A usage error prints argparse's usage and message, and a
+    ``ConfigError`` one line; both return ``EXIT_CONFIG``."""
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError:
+        return EXIT_CONFIG
     args._t0 = time.time()
     try:
         if config_text is not None:
@@ -376,7 +391,7 @@ def _run(args, config_text: str | None = None) -> int:
 
 
 def main(argv=None) -> int:
-    return _run(build_parser().parse_args(argv))
+    return _run(argv)
 
 
 if __name__ == "__main__":

@@ -19,12 +19,14 @@ SPEED_OF_LIGHT = 3e8  # m/s
 F_VALID_MIN = 100e9
 F_VALID_MAX = 450e9
 
-# Simulation run sizes and transmission schemes, here so the CLI's
-# parser can read them without importing the simulator;
-# ``experiments`` and ``queueing`` re-export them.
+# Simulation run sizes, transmission schemes and the strict-HC study's
+# defaults, here so the CLI's parser can read them without importing the
+# simulator or the solver; ``experiments`` and ``queueing`` re-export them.
 SCHEMES = ("mcsc", "time_sharing")
 DEFAULT_N_SLOTS = 20000
 MIN_DIAGNOSTIC_SLOTS = 100  # shortest trace given a stability verdict
+STRICT_HC_ALPHA_MIN = 0.3   # time sharing's HC fraction, MC-SC's least one
+STRICT_HC_TARGET = 0.05     # HC outage target held by beamwidth adaptation
 
 
 class ConfigError(ValueError):
@@ -76,7 +78,7 @@ class SystemConfig:
                 problems.append(f"{name} must lie in [0, 1], got {v}")
         if self.A_bar < 0:
             problems.append("A_bar must be nonnegative")
-        if self.N_R <= 0 or math.isqrt(int(self.N_R)) ** 2 != int(self.N_R):
+        if not (0 < self.N_R < math.inf and math.isqrt(int(self.N_R)) ** 2 == self.N_R):
             problems.append(f"N_R must be a positive perfect square, got {self.N_R}")
         if problems:
             raise ConfigError("; ".join(problems))

@@ -11,7 +11,8 @@ frontier (``optimizer.Frontier``); time sharing is the chord between its
 all-HC and all-LC ends.
 
 Every sweep driver runs one point function per grid value through
-``_sweep``, which returns each point's records in grid order, in the
+``_sweep``, which builds every grid value's config before the first
+point runs and returns each point's records in grid order, in the
 calling process; only ``delay_sweep`` spreads them over a process pool.
 Its unit of work is one grid value: each replication there is drawn
 once, from a master seed via
@@ -34,7 +35,8 @@ from dataclasses import asdict, dataclass, fields
 from functools import partial
 
 from .channel import collection_fraction, derive_link_budget, equivalent_width_sq, ris_gain
-from .config import DEFAULT_N_SLOTS, MIN_DIAGNOSTIC_SLOTS, SCHEMES, ConfigError, SystemConfig
+from .config import (DEFAULT_N_SLOTS, MIN_DIAGNOSTIC_SLOTS, SCHEMES, STRICT_HC_ALPHA_MIN,
+                     STRICT_HC_TARGET, ConfigError, SystemConfig)
 from .mcsc import PowerAllocation, RateTargets, outage_probs
 from .optimizer import Frontier, _golden_max, hc_service_rate, lc_service_rate, sca_solve
 
@@ -105,14 +107,15 @@ def config_hash(cfg: SystemConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _sweep(point, values, jobs: int = 1) -> SweepResult:
-    """Records of ``point(i, v)`` over the grid ``values`` as floats, in
-    grid order; ``point`` returns a list of records for grid index i and
-    value v.  Only ``delay_sweep`` passes ``jobs``.  A pool forks all its
-    workers at the first submit, so it gets ``min(jobs, len(values))`` of
-    them, and the points run serially when that is 1."""
+def _sweep(point, values, at, jobs: int = 1) -> SweepResult:
+    """Records of ``point(i, v, at(v))`` over the grid ``values`` as
+    floats, in grid order: a list for grid index i, value v and its
+    config, which ``at`` builds for every v before the first point runs.
+    Only ``delay_sweep`` passes ``jobs``.  A pool forks all its workers
+    at the first submit, so it gets ``min(jobs, len(values))`` of them,
+    and the points run serially when that is 1."""
     grid = [float(v) for v in values]
-    args = (point, range(len(grid)), grid)
+    args = (point, range(len(grid)), grid, [at(v) for v in grid])
     workers = min(jobs, len(grid))
     if workers <= 1:
         nested = list(map(*args))
@@ -157,7 +160,8 @@ def operating_point(cfg: SystemConfig, alpha: float) -> OperatingPoint:
 def feasibility_region(cfg: SystemConfig, alpha_grid, jobs: int = 1) -> SweepResult:
     """Maximum stabilizable arrival rate (as throughput) over the HC
     fraction.  ``jobs`` is ignored, accepted for existing callers."""
-    return _sweep(lambda _index, alpha: [asdict(operating_point(cfg, alpha))], alpha_grid)
+    return _sweep(lambda _index, alpha, cfg_a: [asdict(operating_point(cfg_a, alpha))],
+                  alpha_grid, lambda alpha: cfg.with_(alpha=alpha))
 
 
 def argmax_unimodal(fn, lo: float, hi: float, tol: float, n_prescan: int = 21,
@@ -233,10 +237,9 @@ def _at_sigma_m(cfg: SystemConfig, sigma_m: float) -> SystemConfig:
     return cfg.with_(sigma_md=sigma_m, sigma_mr=2.0 * sigma_m)
 
 
-def _three_alpha_records(cfg: SystemConfig, name: str, _index: int, value: float) -> list[dict]:
-    """Operating points at alpha = 0, alpha_T*, 1 with the sweep parameter
-    ``name`` (``q_d`` or ``sigma_m``) at ``value``."""
-    cfg = _at_sigma_m(cfg, value) if name == "sigma_m" else cfg.with_(**{name: value})
+def _three_alpha_records(name: str, _index: int, value: float, cfg: SystemConfig) -> list[dict]:
+    """Operating points at alpha = 0, alpha_T*, 1 of ``cfg``, the config
+    with the sweep parameter ``name`` (``q_d`` or ``sigma_m``) at ``value``."""
     a_t = alpha_tradeoff_star(cfg)
     return [{name: value, "alpha_label": label, **asdict(operating_point(cfg, alpha))}
             for label, alpha in (("0", 0.0), ("alpha_T", a_t), ("1", 1.0))]
@@ -245,13 +248,13 @@ def _three_alpha_records(cfg: SystemConfig, name: str, _index: int, value: float
 def blockage_sweep(cfg: SystemConfig, q_d_grid) -> SweepResult:
     """Throughput/outage versus direct-path blockage probability, at
     alpha in {0, alpha_T*(q_d), 1} (tradeoff point recomputed per grid point)."""
-    return _sweep(partial(_three_alpha_records, cfg, "q_d"), q_d_grid)
+    return _sweep(partial(_three_alpha_records, "q_d"), q_d_grid, lambda q_d: cfg.with_(q_d=q_d))
 
 
 def misalignment_sweep(cfg: SystemConfig, sigma_grid) -> SweepResult:
     """Throughput/outage versus pointing-error scale, with
     sigma_md = sigma_m and sigma_mr = 2 sigma_m."""
-    return _sweep(partial(_three_alpha_records, cfg, "sigma_m"), sigma_grid)
+    return _sweep(partial(_three_alpha_records, "sigma_m"), sigma_grid, partial(_at_sigma_m, cfg))
 
 
 def adapt_beamwidth(cfg: SystemConfig, target_P_out_h: float) -> tuple[float, float]:
@@ -268,16 +271,16 @@ def adapt_beamwidth(cfg: SystemConfig, target_P_out_h: float) -> tuple[float, fl
     minimum at ``V_STAR``.  The adaptation widens the beam (trading RIS
     gain for misalignment robustness), so the inversion uses the
     increasing wide-beam branch w_r >= a_U sqrt(pi/2) / V_STAR, where
-    v <= V_STAR keeps e^{v^2} small.  If the target can be met by any
-    beam, returns the narrowest (highest-gain) bracket beam by
-    convention.
+    v <= V_STAR keeps e^{v^2} small.  A target at or above the direct
+    path's failure probability ``P_out_l`` holds for every beam, and the
+    configured beam ``cfg.w_r`` is kept.
     """
     if not 0.0 < target_P_out_h <= 1.0:
         raise ValueError("target_P_out_h must lie in (0, 1]")
     budget = derive_link_budget(cfg)
     fail_d, a_U = outage_probs(cfg, budget).P_out_l, budget.a_U
     if target_P_out_h >= fail_d:  # also when the direct path never fails
-        return W_R_MIN, ris_gain(cfg.d_RU, W_R_MIN)
+        return cfg.w_r, ris_gain(cfg.d_RU, cfg.w_r)
     ratio = target_P_out_h / fail_d
     if ratio <= cfg.q_r:
         raise BeamAdaptationError(
@@ -358,19 +361,21 @@ def time_sharing_point(cfg: SystemConfig, alpha: float) -> TimeSharingPoint:
 def strict_hc_sweep(
     cfg: SystemConfig,
     sigma_grid,
-    alpha_min: float = 0.3,
-    target: float = 0.05,
+    alpha_min: float = STRICT_HC_ALPHA_MIN,
+    target: float = STRICT_HC_TARGET,
 ) -> SweepResult:
     """Strict-HC scenario: hold P_out_h at ``target`` by beamwidth
-    adaptation and compare time sharing at alpha_min, MC-SC at
-    max(alpha_min, alpha_sum*), and MC-SC at alpha = 1.  A sigma_m where
-    no beam meets the target gives records with ``feasible`` = 0 and NaNs.
-    Raises ``ConfigError`` unless 0 < target <= 1 and 0 <= alpha_min <= 1."""
+    adaptation, which keeps the configured beam where the target holds,
+    and compare time sharing at alpha_min, MC-SC at max(alpha_min,
+    alpha_sum*), and MC-SC at alpha = 1.  A sigma_m where no beam meets
+    the target gives records with ``feasible`` = 0 and NaNs.  Raises
+    ``ConfigError`` unless 0 < target <= 1 and 0 <= alpha_min <= 1."""
     if not 0.0 < target <= 1.0:
         raise ConfigError(f"target must lie in (0, 1], got {target!r}")
     if not 0.0 <= alpha_min <= 1.0:
         raise ConfigError(f"alpha_min must lie in [0, 1], got {alpha_min!r}")
-    return _sweep(partial(_strict_hc_point, cfg, alpha_min, target), sigma_grid)
+    return _sweep(partial(_strict_hc_point, alpha_min, target), sigma_grid,
+                  partial(_at_sigma_m, cfg))
 
 
 # strict-HC CSV columns, the same whether or not a point is reachable
@@ -379,13 +384,10 @@ _STRICT_COLUMNS = ("sigma_m", "strategy", "w_r",
 
 
 def _strict_hc_point(
-    cfg: SystemConfig, alpha_min: float, target: float, _index: int, sigma_m: float
+    alpha_min: float, target: float, _index: int, sigma_m: float, cfg_s: SystemConfig
 ) -> list[dict]:
-    cfg_s = _at_sigma_m(cfg, sigma_m)
-    cfg_ad = cfg_s  # a target at or above P_out_l holds for every beamwidth
     try:
-        if target < outage_probs(cfg_s, derive_link_budget(cfg_s)).P_out_l:
-            cfg_ad = cfg_s.with_(w_r=adapt_beamwidth(cfg_s, target)[0])
+        cfg_ad = cfg_s.with_(w_r=adapt_beamwidth(cfg_s, target)[0])
     except BeamAdaptationError:
         points = [{"feasible": 0}] * 3  # unreachable: NaN metrics
     else:
@@ -416,17 +418,16 @@ def simulate_time_sharing(
                            (tsp.lam, 1.0 - tsp.lam), buffers)
 
 
-def _delay_point(cfg: SystemConfig, schemes: tuple[str, ...], n_slots: int, n_reps: int,
-                 master_seed: int, index: int, alpha: float) -> list[dict]:
-    """Records of grid point ``index`` at HC fraction ``alpha``, one per
-    scheme in ``schemes`` order.  Each replication is drawn once in this
-    thread's slot workspace and served under every scheme, so only the
-    summaries outlive the next one."""
+def _delay_point(schemes: tuple[str, ...], n_slots: int, n_reps: int, master_seed: int,
+                 index: int, alpha: float, cfg_a: SystemConfig) -> list[dict]:
+    """Records of grid point ``index`` at HC fraction ``alpha``, whose
+    config is ``cfg_a``, one per scheme in ``schemes`` order.  Each
+    replication is drawn once in this thread's slot workspace and served
+    under every scheme, so only the summaries outlive the next one."""
     import numpy as np
 
     from .queueing import draw_slots, simulate, stability_diagnostic, thread_buffers
 
-    cfg_a = cfg.with_(alpha=alpha)
     budget = derive_link_budget(cfg_a)
     runs = [partial(simulate, cfg_a, budget, sca_solve(cfg_a, budget)) if scheme == "mcsc"
             else partial(simulate_time_sharing, cfg_a, budget, time_sharing_point(cfg_a, alpha))
@@ -463,8 +464,9 @@ def delay_sweep(
     ``time_sharing``) or a sequence of them, whose records follow one
     another scheme by scheme.  Each replication of grid point i is drawn
     once and served under every scheme.  Any other scheme, an alpha
-    outside [0, 1], ``n_slots`` < ``MIN_DIAGNOSTIC_SLOTS``, ``n_reps`` < 1
-    or ``master_seed`` < 0 raises ``ConfigError`` before a point runs."""
+    outside [0, 1], an ``A_bar`` too large for numpy's Poisson sampler,
+    ``n_slots`` < ``MIN_DIAGNOSTIC_SLOTS``, ``n_reps`` < 1 or
+    ``master_seed`` < 0 raises ``ConfigError`` before a point runs."""
     schemes = (scheme,) if isinstance(scheme, str) else tuple(scheme)
     for name in schemes:
         if name not in SCHEMES:
@@ -475,14 +477,17 @@ def delay_sweep(
         raise ConfigError(f"n_reps must be >= 1, got {n_reps}")
     if master_seed < 0:
         raise ConfigError(f"master_seed must be >= 0, got {master_seed}")
-    grid = list(alpha_grid)
-    for alpha in grid:
-        cfg.with_(alpha=alpha)  # raises on an alpha outside [0, 1]
     # loads the simulator and numpy before a pool forks, so that its
     # workers inherit them rather than each importing its own
+    import numpy as np
+
     from . import queueing  # noqa: F401
 
-    point = partial(_delay_point, cfg, schemes, n_slots, n_reps, master_seed)
-    recs, n = _sweep(point, grid, jobs).records, len(schemes)
+    try:  # numpy's own limit on the rate, asked with an empty draw
+        np.random.default_rng(0).poisson(cfg.A_bar, 0)
+    except ValueError as exc:
+        raise ConfigError(f"A_bar = {cfg.A_bar!r} cannot be drawn: {exc}") from None
+    point = partial(_delay_point, schemes, n_slots, n_reps, master_seed)
+    recs, n = _sweep(point, alpha_grid, lambda a: cfg.with_(alpha=a), jobs).records, len(schemes)
     # grid order within each scheme; a point's records follow schemes order
     return SweepResult([rec for k in range(n) for rec in recs[k::n]])

@@ -280,6 +280,11 @@ class TestConfig:
             with pytest.raises(ConfigError, match="finite"):
                 SystemConfig(**{name: math.nan})
 
+    @pytest.mark.parametrize("n_r", [40000.5, math.inf, math.nan])
+    def test_non_integral_element_count_rejected(self, n_r):
+        with pytest.raises(ConfigError, match="N_R must be a positive perfect square"):
+            SystemConfig(N_R=n_r)
+
     def test_frequency_validity_warning(self):
         with pytest.warns(UserWarning, match="GHz"):
             SystemConfig(f=600e9)

@@ -211,7 +211,7 @@ class TestSubcommands:
         for seed in ("1", "3"):
             out = tmp_path / f"shc{seed}.csv"
             proc = run_cli(
-                "strict-hc", "--sigma-grid", "0.04:1:0.04", "--jobs", "1",
+                "strict-hc", "--sigma-grid", "0.04:1:0.04",
                 "--out", str(out), env={**os.environ, "PYTHONHASHSEED": seed},
             )
             assert proc.returncode == EXIT_OK
@@ -221,13 +221,12 @@ class TestSubcommands:
     def test_infeasible_beam_target_exit_code(self):
         proc = run_cli(
             "strict-hc", "--sigma-grid", "0.14:1:0.14", "--target", "1e-9",
-            "--jobs", "1",
         )
         assert proc.returncode == EXIT_INFEASIBLE
         assert "infeasible" in proc.stderr
 
     def test_strict_hc_default_grid_is_feasible(self):
-        proc = run_cli("strict-hc", "--jobs", "1")
+        proc = run_cli("strict-hc")
         assert proc.returncode == EXIT_OK
         assert len(proc.stdout.splitlines()) == 1 + 9  # 3 sigma_m x 3 strategies
 
@@ -235,8 +234,7 @@ class TestSubcommands:
         # sigma_m = 0.19 and 0.24 cannot meet the target: their points are
         # written as records and only the exit code and stderr flag them
         out = tmp_path / "shc.csv"
-        proc = run_cli("strict-hc", "--sigma-grid", "0.14:0.05:0.24", "--jobs", "1",
-                       "--out", str(out))
+        proc = run_cli("strict-hc", "--sigma-grid", "0.14:0.05:0.24", "--out", str(out))
         assert proc.returncode == EXIT_INFEASIBLE
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("infeasible:")
@@ -256,7 +254,7 @@ class TestSubcommands:
         cfg.write_text("q_r = 1.0\n")
         out = tmp_path / "blk.csv"
         rc = main(["blockage-sweep", "--config", str(cfg), "--qd-grid", "0.5:0.5:1",
-                   "--jobs", "1", "--out", str(out)])
+                   "--out", str(out)])
         assert rc == EXIT_OK
         with open(out, newline="") as fh:
             rows = {(r["q_d"], r["alpha_label"]): r for r in csv.DictReader(fh)}
@@ -264,7 +262,7 @@ class TestSubcommands:
         assert float(rows[("1.0", "alpha_T")]["A_max"]) == 0.0
 
     @pytest.mark.parametrize("argv", [
-        "queue-sim --scheme time_sharing --alpha-grid 0:0.5:1 --slots 500",
+        "queue-sim --scheme time_sharing --alpha-grid 0:0.5:1 --slots 500 --jobs 1",
         "strict-hc --target 1.0 --sigma-grid 0.1:1:0.1",
     ], ids=["queue-sim", "strict-hc"])
     def test_nothing_served_exit_code(self, tmp_path, capsys, argv):
@@ -272,7 +270,7 @@ class TestSubcommands:
         # A_max is 0 at every split
         cfg = tmp_path / "dead.cfg"
         cfg.write_text("q_d = 1.0\nq_r = 1.0\n")
-        assert main(argv.split() + ["--config", str(cfg), "--jobs", "1"]) == EXIT_OK
+        assert main(argv.split() + ["--config", str(cfg)]) == EXIT_OK
         rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
         assert len(rows) == 3
         if "A_max" in rows[0]:
@@ -288,11 +286,34 @@ class TestSubcommands:
         # options a subcommand does not read are not accepted
         "feasibility --seed 3", "queue-sim --trace", "oracle-check --out x",
         "config --jobs 2",
+        # only feasibility and queue-sim take --jobs
+        "blockage-sweep --jobs 1", "misalignment-sweep --jobs 1", "strict-hc --jobs 1",
     ])
     def test_usage_error_exit_code(self, argv):
         proc = run_cli(*argv.split())
         assert proc.returncode == EXIT_CONFIG
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_usage_error_returns_exit_code_in_process(self, capsys):
+        # the process exit is left to the caller; --help and --version exit 0
+        assert main(["strict-hc", "--jobs", "1"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("usage: risthz ")
+        assert err.endswith("risthz: error: unrecognized arguments: --jobs 1\n")
+        for argv in (["--version"], ["strict-hc", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+
+    def test_undrawable_arrival_rate_is_config_error(self, tmp_path):
+        # numpy's Poisson sampler refuses rates above about 9.2e18
+        cfg = tmp_path / "flood.cfg"
+        cfg.write_text("A_bar = 1e19\n")
+        proc = run_cli("queue-sim", "--config", str(cfg), "--alpha-grid", "0:0.5:1",
+                       "--slots", "200", "--jobs", "1")
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr == "config error: A_bar = 1e+19 cannot be drawn: lam value too large\n"
+        assert proc.stdout == ""
 
 
 class TestImports:
@@ -312,10 +333,10 @@ class TestImports:
         (["solve", "--alpha", "0.5"], []),
         (["feasibility", "--alpha-grid", "0:0.5:1", "--jobs", "1"], []),
         (["feasibility", "--alpha-grid", "0:0.5:1", "--jobs", "2"], []),
-        (["strict-hc", "--sigma-grid", "0.04:0.05:0.09", "--jobs", "2"], []),
+        (["strict-hc", "--sigma-grid", "0.04:0.05:0.09"], []),
         (["queue-sim", "--alpha-grid", "0.5:1:0.5", "--slots", "200", "--jobs", "1"], ["numpy"]),
         (["oracle-check", "--n", "1"], ["numpy"]),
-    ], ids=["config", "solve", "feasibility-jobs1", "feasibility-jobs2", "strict-hc-jobs2",
+    ], ids=["config", "solve", "feasibility-jobs1", "feasibility-jobs2", "strict-hc",
             "queue-sim", "oracle-check"])
     def test_numpy_and_pool_load_only_where_used(self, argv, loaded):
         code = ("import sys\nfrom risthz.cli import main\nrc = main(sys.argv[1:])\n"
@@ -348,13 +369,15 @@ class TestProcessPools:
         "strict-hc --sigma-grid 0.04:0.05:0.09",
     ])
     def test_solver_sweeps_open_no_pool(self, tmp_path, pools, argv):
+        # of the solver sweeps only feasibility takes --jobs, to no effect
+        jobs = (["--jobs", "1"], ["--jobs", "4"]) if argv.startswith("feasibility") else ([],)
         outs = []
-        for jobs in ("1", "4"):
-            out = tmp_path / f"{jobs}.csv"
-            assert main(argv.split() + ["--jobs", jobs, "--out", str(out)]) == EXIT_OK
+        for i, extra in enumerate(jobs):
+            out = tmp_path / f"{i}.csv"
+            assert main(argv.split() + extra + ["--out", str(out)]) == EXIT_OK
             outs.append(out.read_bytes())
         assert pools == []
-        assert outs[0] == outs[1]
+        assert len(set(outs)) == 1
 
     def test_queue_sim_opens_one_pool(self, pools):
         argv = "queue-sim --scheme both --alpha-grid 0.2:0.4:0.6 --slots 500 --jobs 2"
@@ -375,7 +398,6 @@ class TestArgumentBounds:
         ("queue-sim --alpha-grid 0.5:1:0.5 --slots 0", "--slots must be >= 100, got 0"),
         ("queue-sim --alpha-grid 0.5:1:0.5 --jobs -1", "--jobs must be >= 1, got -1"),
         ("feasibility --jobs 0", "--jobs must be >= 1, got 0"),
-        ("strict-hc --jobs 0", "--jobs must be >= 1, got 0"),
         ("oracle-check --n 0", "--n must be >= 1, got 0"),
         ("queue-sim --alpha-grid 0.5:1:0.5 --seed -1", "--seed must be >= 0, got -1"),
         ("oracle-check --seed -1", "--seed must be >= 0, got -1"),
@@ -387,9 +409,9 @@ class TestArgumentBounds:
          "bad grid spec '0:0.1:inf': start, step and end must be finite"),
         ("strict-hc --sigma-grid 0:inf:1",
          "bad grid spec '0:inf:1': start, step and end must be finite"),
-    ], ids=["reps-0", "slots-50", "slots-0", "queue-jobs--1", "feasibility-jobs-0",
-            "strict-jobs-0", "n-0", "queue-seed--1", "oracle-seed--1", "target-0",
-            "alpha-min-neg", "grid-nan-step", "grid-inf-end", "grid-inf-step"])
+    ], ids=["reps-0", "slots-50", "slots-0", "queue-jobs--1", "feasibility-jobs-0", "n-0",
+            "queue-seed--1", "oracle-seed--1", "target-0", "alpha-min-neg", "grid-nan-step",
+            "grid-inf-end", "grid-inf-step"])
     def test_out_of_range_is_config_error(self, capsys, argv, message):
         assert main(argv.split()) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
@@ -408,10 +430,9 @@ class TestOptions:
         "config": {"--config", "--show-defaults"},
         "solve": {"--config", "--out", "--trace", "--alpha"},
         "feasibility": {"--config", "--out", "--jobs", "--alpha-grid"},
-        "blockage-sweep": {"--config", "--out", "--jobs", "--qd-grid"},
-        "misalignment-sweep": {"--config", "--out", "--jobs", "--sigma-grid"},
-        "strict-hc": {"--config", "--out", "--jobs", "--sigma-grid", "--alpha-min",
-                      "--target"},
+        "blockage-sweep": {"--config", "--out", "--qd-grid"},
+        "misalignment-sweep": {"--config", "--out", "--sigma-grid"},
+        "strict-hc": {"--config", "--out", "--sigma-grid", "--alpha-min", "--target"},
         "queue-sim": {"--config", "--out", "--seed", "--jobs", "--alpha-grid", "--scheme",
                       "--slots", "--reps"},
         "oracle-check": {"--config", "--seed", "--n"},
@@ -428,10 +449,10 @@ class TestOptions:
 
     @pytest.mark.parametrize("argv", [
         "blockage-sweep --qd-grid 0:0.5:0.5",
-        "queue-sim --alpha-grid 0.2:0.2:0.4 --slots 500 --reps 2 --seed 4",
+        "queue-sim --alpha-grid 0.2:0.2:0.4 --slots 500 --reps 2 --seed 4 --jobs 1",
     ], ids=["blockage-sweep", "queue-sim"])
     def test_stdout_csv_equals_out_csv(self, tmp_path, capsysbinary, argv):
-        argv = argv.split() + ["--jobs", "1"]
+        argv = argv.split()
         assert main(argv) == EXIT_OK
         stdout = capsysbinary.readouterr().out
         out = tmp_path / "o.csv"
@@ -451,12 +472,12 @@ def assert_rerun_identical(tmp_path, argv, rc_want=EXIT_OK):
 class TestManifests:
     def test_rerun_byte_identical_deterministic(self, tmp_path):
         assert_rerun_identical(
-            tmp_path, ["blockage-sweep", "--qd-grid", "0:0.5:0.5", "--jobs", "1"])
+            tmp_path, ["blockage-sweep", "--qd-grid", "0:0.5:0.5"])
 
     @pytest.mark.parametrize("argv, rc_want", [
-        ("misalignment-sweep --sigma-grid 0.1:0.1:0.2 --jobs 1", EXIT_OK),
-        ("strict-hc --jobs 1", EXIT_OK),
-        ("strict-hc --sigma-grid 0.14:0.05:0.24 --jobs 1", EXIT_INFEASIBLE),
+        ("misalignment-sweep --sigma-grid 0.1:0.1:0.2", EXIT_OK),
+        ("strict-hc", EXIT_OK),
+        ("strict-hc --sigma-grid 0.14:0.05:0.24", EXIT_INFEASIBLE),
         ("solve --alpha 0.37", EXIT_OK),
     ], ids=["misalignment-sweep", "strict-hc", "strict-hc-infeasible", "solve"])
     def test_rerun_byte_identical_other_subcommands(self, tmp_path, argv, rc_want):
@@ -485,10 +506,26 @@ class TestManifests:
         assert run_from_manifest(str(manifest_path), str(tmp_path / "t.json")) == EXIT_CONFIG
         assert capsys.readouterr().err == "config error: unknown config keys: no_such_knob\n"
 
+    @pytest.mark.parametrize("key", ["no_such_option", "jobs"])
+    def test_replay_of_unknown_argument_is_usage_error(self, tmp_path, capsys, key):
+        # "jobs": a manifest of a sweep that no longer takes --jobs
+        out = tmp_path / "m.csv"
+        assert main(["misalignment-sweep", "--sigma-grid", "0.1:1:0.1",
+                     "--out", str(out)]) == EXIT_OK
+        manifest_path = tmp_path / "m.csv.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["args"][key] = 1
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_from_manifest(str(manifest_path), str(tmp_path / "n.csv")) == EXIT_CONFIG
+        flag = "--" + key.replace("_", "-")
+        assert capsys.readouterr().err.endswith(
+            f"risthz: error: unrecognized arguments: {flag} 1\n")
+        assert not (tmp_path / "n.csv").exists()
+
     def test_manifest_contents(self, tmp_path):
         out = tmp_path / "m.csv"
-        main(["misalignment-sweep", "--sigma-grid", "0.1:1:0.1", "--jobs", "1",
-              "--out", str(out)])
+        main(["misalignment-sweep", "--sigma-grid", "0.1:1:0.1", "--out", str(out)])
         manifest = json.loads((tmp_path / "m.csv.manifest.json").read_text())
         assert manifest["experiment"] == "misalignment-sweep"
         assert manifest["config"]["q_d"] == 0.3

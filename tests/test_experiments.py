@@ -43,6 +43,9 @@ from risthz.experiments import (
 )
 
 
+SIGMA_NOT_POSITIVE = "sigma_md must be strictly positive; sigma_mr must be strictly positive"
+
+
 class TestFeasibilityRegion:
     def test_single_point_grid(self, cfg, budget):
         res = feasibility_region(cfg, [0.5])
@@ -260,6 +263,16 @@ class TestCallBudgets:
         adapt_beamwidth(cfg.with_(sigma_md=0.14, sigma_mr=0.28), 0.05)
         assert len(calls) <= 2
 
+    @pytest.mark.parametrize("target", [0.05, 1.0], ids=["adapted", "met"])
+    def test_strict_hc_point(self, monkeypatch, cfg, target):
+        # one budget each for adapt_beamwidth, alpha_sum_star, time
+        # sharing and the two operating points: the point itself derives
+        # no budget and evaluates no outage, met target or not
+        calls = self.counted(monkeypatch, "derive_link_budget", "outage_probs")
+        strict_hc_sweep(cfg, [0.14], target=target)
+        assert calls.count("derive_link_budget") == 5
+        assert calls.count("outage_probs") == 7
+
 
 class TestSweeps:
     def test_blockage_sweep_structure(self, cfg):
@@ -300,14 +313,40 @@ class TestSweeps:
 
     def test_pool_has_at_most_one_worker_per_point(self, pools):
         # a pool forks all its workers at its first submit
-        def point(i, v):
-            return [{"i": i, "v": v}]
+        def point(i, v, c):
+            return [{"i": i, "v": v, "c": c}]
 
-        res = experiments._sweep(point, [0.1, 0.2, 0.3], jobs=64)
-        assert res.records == [{"i": 0, "v": 0.1}, {"i": 1, "v": 0.2}, {"i": 2, "v": 0.3}]
+        def at(v):
+            return -v
+
+        res = experiments._sweep(point, [0.1, 0.2, 0.3], at, jobs=64)
+        assert res.records == [{"i": 0, "v": 0.1, "c": -0.1}, {"i": 1, "v": 0.2, "c": -0.2},
+                               {"i": 2, "v": 0.3, "c": -0.3}]
         assert pools == [3]
-        assert experiments._sweep(point, [0.5], jobs=8).records == [{"i": 0, "v": 0.5}]
+        assert experiments._sweep(point, [0.5], at, jobs=8).records == [
+            {"i": 0, "v": 0.5, "c": -0.5}]
         assert pools == [3]
+
+    @pytest.mark.parametrize("sweep, grid, match", [
+        (feasibility_region, [0.2, 0.5, 1.25], r"alpha must lie in \[0, 1\], got 1.25"),
+        (blockage_sweep, [0.0, 0.3, 1.5], r"q_d must lie in \[0, 1\], got 1.5"),
+        (misalignment_sweep, [0.08, 0.1, -0.1], SIGMA_NOT_POSITIVE),
+        (strict_hc_sweep, [0.04, 0.09, -0.1], SIGMA_NOT_POSITIVE),
+        (lambda cfg, grid: delay_sweep(cfg, grid, experiments.SCHEMES, n_slots=500, jobs=2),
+         [0.2, 0.5, 1.25], r"alpha must lie in \[0, 1\], got 1.25"),
+    ], ids=["feasibility", "blockage", "misalignment", "strict-hc", "delay"])
+    def test_bad_grid_value_rejected_before_any_point(self, cfg, monkeypatch, pools,
+                                                      sweep, grid, match):
+        calls = []
+        for name in ("operating_point", "_delay_point"):
+            def counting(*args, fn=getattr(experiments, name), **kwargs):
+                calls.append(fn)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(experiments, name, counting)
+        with pytest.raises(config.ConfigError, match=f"^{match}$"):
+            sweep(cfg, grid)
+        assert calls == []
+        assert pools == []
 
     def test_config_hash_stable(self, cfg):
         assert config_hash(cfg) == config_hash(SystemConfig())
@@ -315,22 +354,22 @@ class TestSweeps:
 
 
 class TestAdaptBeamwidth:
-    def test_vacuous_target_returns_narrowest_beam(self, cfg):
+    def test_vacuous_target_keeps_configured_beam(self, cfg):
         w_r, G_R = adapt_beamwidth(cfg, 1.0)
-        assert w_r == W_R_MIN
-        assert G_R == 8 * cfg.d_RU**2 / W_R_MIN**2
+        assert w_r == cfg.w_r
+        assert G_R == 8 * cfg.d_RU**2 / cfg.w_r**2
 
     def test_target_below_blockage_floor(self, cfg):
         with pytest.raises(BeamAdaptationError, match="floor"):
             adapt_beamwidth(cfg, 1e-6)
 
     def test_direct_path_that_never_fails_meets_every_target(self):
-        # P_out_l = 0: every target holds for every beam, so the narrowest
-        # beam is returned instead of dividing by the zero failure rate
+        # P_out_l = 0: every target holds for every beam, so the configured
+        # beam is kept instead of dividing by the zero failure rate
         cfg = SystemConfig(q_d=0.0, sigma_md=1e-3, sigma_mr=2e-3)
         assert outage_probs(cfg, derive_link_budget(cfg)).P_out_l == 0.0
         for target in (0.05, 1e-12, 1.0):
-            assert adapt_beamwidth(cfg, target) == (W_R_MIN, 8 * cfg.d_RU**2 / W_R_MIN**2)
+            assert adapt_beamwidth(cfg, target) == (cfg.w_r, 8 * cfg.d_RU**2 / cfg.w_r**2)
 
     # a_U grows with sqrt(G_U) / f; at G_U = 0.2 and 300 GHz the analytic
     # minimum lies below W_R_MIN, so w_min clamps to it
@@ -659,6 +698,18 @@ class TestDelaySweep:
         for jobs in (1, 2):
             with pytest.raises(config.ConfigError, match=r"^alpha must lie in \[0, 1\], got 1.25$"):
                 delay_sweep(cfg, grid, experiments.SCHEMES, n_slots=500, jobs=jobs)
+        assert pools == []
+
+    def test_undrawable_arrival_rate_rejected_before_any_point(self, cfg, monkeypatch, pools):
+        def no_call(*_args, **_kwargs):
+            raise AssertionError("a point ran")
+
+        monkeypatch.setattr(experiments, "_delay_point", no_call)
+        for a_bar in (1e19, 9.3e18):
+            for jobs in (1, 2):
+                with pytest.raises(config.ConfigError, match="^A_bar = .* cannot be drawn: "):
+                    delay_sweep(cfg.with_(A_bar=a_bar), [0.2, 0.6], experiments.SCHEMES,
+                                jobs=jobs)
         assert pools == []
 
     def test_shortest_diagnostic_trace_accepted(self, cfg):
