@@ -20,14 +20,12 @@ _EXPORTS = {
         "derive_link_budget",
         "fading_coefficient",
         "misalignment_cdf",
-        "misalignment_pdf",
     ),
     "config": ("ConfigError", "SystemConfig", "load_config"),
     "mcsc": (
         "OutageProbs",
         "PowerAllocation",
         "RateTargets",
-        "epsilon_threshold",
         "outage_probs",
     ),
     "optimizer": (

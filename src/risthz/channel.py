@@ -131,15 +131,6 @@ def derive_link_budget(cfg: SystemConfig) -> LinkBudget:
     )
 
 
-def misalignment_pdf(x: float, A: float, gamma_ma: float) -> float:
-    """Density of the misalignment fading value at x, for peak fraction A
-    and shape parameter gamma_ma:  (g^2 / A^{g^2}) x^{g^2 - 1}."""
-    if not 0.0 <= x <= A:
-        raise ValueError(f"fading value {x} outside [0, {A}]")
-    g2 = gamma_ma * gamma_ma
-    return (g2 / A**g2) * x ** (g2 - 1.0)
-
-
 def misalignment_cdf(x: float, A: float, gamma_ma: float) -> float:
     """CDF of the misalignment fading value: (x / A)^{g^2}."""
     if not 0.0 <= x <= A:

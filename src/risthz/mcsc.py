@@ -1,21 +1,16 @@
 """Mixed-criticality superposition-coding signal model.
 
-SINR expressions for the two superposed streams, half-power
-pointing-error thresholds, and the closed-form outage probabilities used
-by the power optimizer.  Only the SINR kernel uses numpy, and imports
-it when called.
+SINR expressions for the two superposed streams and the closed-form
+outage probabilities used by the power optimizer.  Only the SINR kernel
+uses numpy, and imports it when called.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .channel import LinkBudget
 from .config import SystemConfig
-
-# exp(-2 eps_th^2 / w_eq^2) = 1/2  at  eps_th = sqrt(ln(sqrt(2))) * w_eq
-_EPS_TH_FACTOR = math.sqrt(math.log(math.sqrt(2.0)))
 
 
 @dataclass(frozen=True)
@@ -73,11 +68,6 @@ def sinr(h2, g2, hc: PowerAllocation, lc: PowerAllocation, sigma_n2: float, out=
                out=gam_h),
         np.add(interference, sigma_n2, out=part), out=gam_h)
     return gam_h, np.divide(sig_l, sigma_n2, out=gam_l)
-
-
-def epsilon_threshold(budget: LinkBudget) -> tuple[float, float]:
-    """Half-power pointing-error thresholds (eps_th_d, eps_th_r) [m]."""
-    return _EPS_TH_FACTOR * budget.w_eq_d, _EPS_TH_FACTOR * budget.w_eq_r
 
 
 def outage_probs(cfg: SystemConfig, budget: LinkBudget) -> OutageProbs:

@@ -16,7 +16,9 @@ with an inner concave maximization over the 2-simplex (the power budget
 binds and p_l_r = 0 at the optimum, so three free powers remain).  The
 inner solve uses nested golden-section search: for fixed multipliers the
 rate bounds are concave in the powers, hence the objective is concave
-and unimodal along every line.
+and unimodal along every line.  The LC gap, which depends on the LC
+power alone, bounds the objective from above; the searches skip the
+evaluations that this bound already decides, with bit-identical results.
 
 At the optimum the whole solution is one curve in the LC power,
 ``Frontier`` (see its docstring).  ``structural_solve`` reaches the
@@ -36,6 +38,7 @@ from .config import SystemConfig
 from .mcsc import OutageProbs, PowerAllocation, RateTargets, outage_probs
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_LN2 = math.log(2.0)
 SCA_TOL = 1e-6
 SCA_MAX_ITER = 200
 
@@ -79,10 +82,18 @@ def hc_state_terms(p: PowerAllocation, budget: LinkBudget):
     )
 
 
+def _log2_1p(v: float) -> float:
+    """log2(1 + v).  Below 2^-20, rounding 1 + v would lose more than 20 of
+    v's bits, and HC rates that small are divided by HC fractions as
+    small in the gaps, so log1p takes over there.  Above it the result
+    is log2(1 + v) to the bit, as the recorded test data expects."""
+    return math.log2(1.0 + v) if v >= 2.0**-20 else math.log1p(v) / _LN2
+
+
 def hc_service_rate(p: PowerAllocation, cfg: SystemConfig, budget: LinkBudget) -> float:
     """Robust HC rate: B log2(1 + min-state SINR at threshold fading) [bit/s]."""
     terms = hc_state_terms(p, budget)
-    return cfg.B * math.log2(1.0 + min(sig / itf for sig, itf in terms))
+    return cfg.B * _log2_1p(min(sig / itf for sig, itf in terms))
 
 
 def lc_service_rate(p: PowerAllocation, cfg: SystemConfig, budget: LinkBudget) -> float:
@@ -163,33 +174,75 @@ def _argmax(vals) -> int:
     return i
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float):
+def _golden_max(fn, lo: float, hi: float, tol: float, cap: float = math.nan,
+                staged: bool = False):
     """Golden-section maximization of a unimodal function on [lo, hi].
 
     Returns (x, fn(x)).  Endpoints are always among the candidates so
     boundary optima are hit exactly.
+
+    The search keeps the better of its two interior points, so the value
+    it returns is the largest one it evaluated.  Two optional upper
+    bounds on fn skip evaluations that cannot change the result:
+
+    - ``cap`` bounds every value (the default, NaN, is reached by none).
+      The first value that reaches it, trying the endpoints first, is
+      returned at once: the full search's value, not always its point.
+    - With ``staged``, ``fn(x)`` returns ``(ub, value)``: an upper bound
+      on fn(x) and a function of no arguments computing fn(x).  A point
+      whose bound already loses is not computed: a new left point when
+      ub < the kept value, a new right point when ub <= it (``f1 >= f2``
+      gives ties to the left) and ``lo`` when ub < max(f1, f2).  The
+      bound stands in and loses as the value would, so the point and
+      value returned are the full search's.  NaN compares False, so a
+      NaN skips nothing.
     """
+    if staged:
+        stages = fn
+
+        def fn(x, loses=None):
+            ub, value = stages(x)
+            return ub if loses is not None and loses(ub) else value()
+
     if hi - lo <= tol:
         x = 0.5 * (lo + hi)
         cands = [lo, x, hi] if hi > lo else [lo]
         vals = [fn(c) for c in cands]
         i = _argmax(vals)
         return cands[i], vals[i]
+    if not staged:  # staged, lo waits for the bound to beat
+        f_lo = fn(lo)
+        if f_lo >= cap:
+            return lo, f_lo
+    f_hi = fn(hi)
+    if f_hi >= cap:
+        return hi, f_hi
     a, b = lo, hi
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
-    f1, f2 = fn(x1), fn(x2)
+    f1 = fn(x1)
+    if f1 >= cap:
+        return x1, f1
+    f2 = fn(x2, lambda ub: ub <= f1) if staged else fn(x2)
+    if f2 >= cap:
+        return x2, f2
     while b - a > tol:
         if f1 >= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _INVPHI * (b - a)
-            f1 = fn(x1)
+            f1 = fn(x1, lambda ub: ub < f2) if staged else fn(x1)
+            if f1 >= cap:
+                return x1, f1
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + _INVPHI * (b - a)
-            f2 = fn(x2)
+            f2 = fn(x2, lambda ub: ub <= f1) if staged else fn(x2)
+            if f2 >= cap:
+                return x2, f2
+    if staged:
+        f_lo = fn(lo, lambda ub: ub < max(f1, f2))
     cands = [lo, x1, x2, hi]
-    vals = [fn(lo), f1, f2, fn(hi)]
+    vals = [f_lo, f1, f2, f_hi]
     i = _argmax(vals)
     return cands[i], vals[i]
 
@@ -199,7 +252,8 @@ def surrogate_objective(
 ):
     """Surrogate max-min objective at fixed mu, staged for the nested search.
 
-    ``surrogate_objective(mu, cfg, budget, outage)(x)(y)`` equals, bit for bit,
+    ``at = surrogate_objective(mu, cfg, budget, outage)`` gives, at LC power
+    x, ``(fy, d_l)``: the LC gap and ``fy(y)``, which equals, bit for bit,
     ``min(stability_gaps(...))`` at the rates ``B log2(1 + gamma)`` of
     ``surrogate_gamma_h``/``surrogate_gamma_l`` at p = (y, P_max - x - y, x, 0):
     the float operations are the same and run in the same order.  Terms
@@ -234,7 +288,7 @@ def surrogate_objective(
             d_l = (k_l * (B * log2(1.0 + gam_l)) - a_l) / (1.0 - alpha)
         if alpha == 0.0:
             const = d_l if d_l < inf else inf  # min(inf, d_l)
-            return lambda y: const
+            return (lambda y: const), d_l
 
         def fy(y: float) -> float:
             sig_d, sig_r = c_d * y, c_r * (rem - y)
@@ -250,7 +304,7 @@ def surrogate_objective(
             d_h = (k_h * (B * log2(1.0 + gam_h)) - a_h) / alpha
             return d_l if d_l < d_h else d_h
 
-        return fy
+        return fy, d_l
 
     return at
 
@@ -267,20 +321,27 @@ def solve_subproblem(
     The power budget binds and p_l_r = 0, leaving the 2-simplex
     {p_h_d + p_h_r + p_l_d = P_max}.  Nested golden-section search is
     exact here because the surrogate is jointly concave in the powers.
+
+    The LC gap d_l(x) bounds every surrogate value at LC power x, since
+    the surrogate is min(d_h, d_l) and d_l does not depend on y.  So an
+    inner search stops at the first value that reaches d_l, and the
+    outer search skips an x whose d_l already loses to the point it
+    keeps (``_golden_max``'s ``cap`` and ``staged``).  Both bounds only
+    skip evaluations whose outcome they already decide, so the powers
+    and objective are those of the full nested search, bit for bit.
+    The search at the chosen x, whose y gives the powers, runs in full.
     """
     P = cfg.P_max
     tol = 1e-8 * max(P, 1e-30)
     at = surrogate_objective(mu, cfg, budget, outage)
 
-    def inner(x: float):
-        # x = p_l_d; split the remainder between p_h_d and p_h_r.
-        return _golden_max(at(x), 0.0, P - x, tol)
+    def outer(x: float):
+        # x = p_l_d; the inner search splits the rest between p_h_d and p_h_r
+        fy, d_l = at(x)
+        return d_l, lambda: _golden_max(fy, 0.0, P - x, tol, cap=d_l)[1]
 
-    def outer_obj(x: float) -> float:
-        return inner(x)[1]
-
-    x_best, _ = _golden_max(outer_obj, 0.0, P, tol)
-    y_best, obj = inner(x_best)
+    x_best, _ = _golden_max(outer, 0.0, P, tol, staged=True)
+    y_best, obj = _golden_max(at(x_best)[0], 0.0, P - x_best, tol)
     p = PowerAllocation(y_best, P - x_best - y_best, x_best)
     R, d = _evaluate(p, cfg, budget, outage)
     return SolveResult(
@@ -376,8 +437,10 @@ class Frontier:
 
     def rate(self, x: float, w_h: float = 1.0, w_l: float = 1.0) -> float:
         """w_h S_h + w_l S_l at LC power x [packets/slot]."""
-        log2 = math.log2
-        return (w_h * self.k_h * (self.B * log2(self.top / (self.D + self.c * x)))
+        log2, den = math.log2, self.D + self.c * x
+        gain = self.c * (self.P - x) / den  # top / den - 1
+        hc = log2(self.top / den) if gain >= 2.0**-20 else math.log1p(gain) / _LN2
+        return (w_h * self.k_h * (self.B * hc)
                 + w_l * self.k_l * (self.B * log2(1.0 + self.c_d * x / self.s2)))
 
     def alpha(self, x: float) -> float:

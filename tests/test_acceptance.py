@@ -225,7 +225,7 @@ def test_criterion_8_distribution_fidelity(cfg, budget):
     d_crit = 1.628 / math.sqrt(n)  # Kolmogorov critical value, alpha = 0.01
 
     m = 1_000_000
-    from risthz.mcsc import epsilon_threshold
+    from helpers import epsilon_threshold
 
     eps_th_d, eps_th_r = epsilon_threshold(budget)
     avail_d = (rng.random(m) >= cfg.q_d) & (

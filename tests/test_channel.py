@@ -19,11 +19,12 @@ from risthz.channel import (
     equivalent_width_sq,
     fading_coefficient,
     misalignment_cdf,
-    misalignment_pdf,
     ris_gain,
 )
 from risthz.config import ConfigError, SystemConfig, parse_config_text
 from risthz.queueing import SlotBuffers, sample_channel_slots
+
+from helpers import misalignment_pdf
 
 # Independently scripted one-line evaluations for the default config.
 ETA_D = 0.0295658402901406

@@ -42,6 +42,8 @@ from risthz.experiments import (
     time_sharing_point,
 )
 
+from helpers import logged_surrogate
+
 
 SIGMA_NOT_POSITIVE = "sigma_md must be strictly positive; sigma_mr must be strictly positive"
 
@@ -163,6 +165,10 @@ class TestFrontier:
     property in ``test_optimizer`` stay the independent references."""
 
     @given(seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 1.0))
+    # LC power one ulp below P_max: the HC rate is about 1e-16 of the LC
+    # rate, which log2(1 + v) rounds to 0 or 2^-52 (found by exploring)
+    @example(seed=0, t=0.9999999999999999)
+    @example(seed=2, t=0.99999999999999956)
     def test_rate_matches_structural_solve(self, seed, t):
         c = random_config(np.random.default_rng(seed))
         alpha, a = frontier_point(c, t)
@@ -272,6 +278,14 @@ class TestCallBudgets:
         strict_hc_sweep(cfg, [0.14], target=target)
         assert calls.count("derive_link_budget") == 5
         assert calls.count("outage_probs") == 7
+
+    def test_sca_surrogate_evaluations(self, monkeypatch, cfg, budget):
+        # the LC-gap bounds of solve_subproblem took a default solve from
+        # 9,224 surrogate evaluations to 5,960
+        values = []
+        monkeypatch.setattr(optimizer, "surrogate_objective", logged_surrogate(values))
+        sca_solve(cfg.with_(alpha=0.5), budget)
+        assert 0 < len(values) <= 6000
 
 
 class TestSweeps:

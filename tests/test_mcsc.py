@@ -14,11 +14,12 @@ from risthz.config import SystemConfig
 from risthz.mcsc import (
     PowerAllocation,
     RateTargets,
-    epsilon_threshold,
     outage_probs,
     sinr,
 )
 from risthz.queueing import SlotBuffers, decode_slots
+
+from helpers import epsilon_threshold
 
 EPS_TH_D = 0.24982458980940947  # hand evaluation for the default config
 EPS_TH_R = 0.47099487402555823

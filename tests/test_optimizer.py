@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from risthz import optimizer
 from risthz.channel import LinkBudget, derive_link_budget
 from risthz.config import SystemConfig
 from risthz.mcsc import OutageProbs, PowerAllocation, RateTargets, outage_probs
@@ -35,6 +36,8 @@ from risthz.optimizer import (
     surrogate_objective,
     update_mu,
 )
+
+from helpers import logged_surrogate
 
 # Independently scripted one-line evaluations for the default config at
 # p = (P_max/3, P_max/3, P_max/3, 0).
@@ -221,7 +224,49 @@ class TestSurrogateObjective:
         for u, v in corners + rng.random((16, 2)).tolist():
             x = u * c.P_max
             y = v * (c.P_max - x)
-            assert at(x)(y).hex() == reference_surrogate(mu, c, b, out, x, y).hex()
+            assert at(x)[0](y).hex() == reference_surrogate(mu, c, b, out, x, y).hex()
+
+
+def solve_subproblem_reference(at, P):
+    """``solve_subproblem``'s nested search before its LC-gap bounds: every
+    outer point runs its inner search in full.  Returns (powers, objective)."""
+    tol = 1e-8 * max(P, 1e-30)
+
+    def inner(x):
+        return _golden_max(at(x)[0], 0.0, P - x, tol)
+
+    x_best, _ = _golden_max(lambda x: inner(x)[1], 0.0, P, tol)
+    y_best, obj = inner(x_best)
+    return PowerAllocation(y_best, P - x_best - y_best, x_best), obj
+
+
+def power_hexes(p):
+    return [v.hex() for v in (p.p_h_d, p.p_h_r, p.p_l_d, p.p_l_r)]
+
+
+class TestBoundedSubproblem:
+    @given(seed=st.integers(0, 2**32 - 1), alpha=st.sampled_from([None, 0.0, 1.0]))
+    def test_equals_full_search_bit_for_bit(self, seed, alpha):
+        # mu comes from a random point of the 3-simplex, with some powers
+        # zeroed so that zero multipliers occur as well
+        rng = np.random.default_rng(seed)
+        c = random_config(rng)
+        if alpha is not None:
+            c = c.with_(alpha=alpha)
+        b = derive_link_budget(c)
+        out = outage_probs(c, b)
+        p0 = rng.dirichlet(np.ones(4)) * c.P_max * (rng.random(4) < 0.8)
+        mu = update_mu(PowerAllocation(*p0), b)
+        full_values, bounded_values = [], []
+        want_p, want_obj = solve_subproblem_reference(
+            logged_surrogate(full_values)(mu, c, b, out), c.P_max)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimizer, "surrogate_objective", logged_surrogate(bounded_values))
+            got = solve_subproblem(mu, c, b, outage=out)
+        assert power_hexes(got.p) == power_hexes(want_p)
+        assert got.objective.hex() == want_obj.hex()
+        assert len(bounded_values) <= len(full_values)
+        assert not any(math.isnan(v) for v in full_values + bounded_values)
 
 
 def golden_max_reference(fn, lo, hi, tol):
@@ -285,6 +330,41 @@ class TestGoldenMax:
         want = golden_max_reference(old_fn, lo, hi, tol)
         assert got == want
         assert len(new_calls) == len(old_calls) - 2
+
+    @pytest.mark.parametrize("name", sorted(UNIMODAL))
+    def test_cap_keeps_the_value(self, name):
+        # a cap at the maximum stops early with the full search's value; a
+        # cap above every value changes nothing
+        fn, lo, hi = UNIMODAL[name]
+        tol = 1e-8 * (hi - lo)
+        full_fn, full_calls = counted(fn)
+        x, f = _golden_max(full_fn, lo, hi, tol)
+        capped_fn, capped_calls = counted(fn)
+        assert _golden_max(capped_fn, lo, hi, tol, cap=f)[1] == f
+        assert len(capped_calls) <= len(full_calls)
+        over_fn, over_calls = counted(fn)
+        assert _golden_max(over_fn, lo, hi, tol, cap=f + 1.0) == (x, f)
+        assert len(over_calls) == len(full_calls)
+
+    @pytest.mark.parametrize("bound", ["tight", "max", "slope"])
+    @pytest.mark.parametrize("name", sorted(UNIMODAL))
+    def test_staged_bound_keeps_point_and_value(self, name, bound):
+        # "max" bounds every value by the maximum, so a kept maximum ties
+        # the bound of every worse point: skipping a new left point or the
+        # lo candidate on a tie changes the result
+        fn, lo, hi = UNIMODAL[name]
+        tol = 1e-8 * (hi - lo)
+        full_fn, full_calls = counted(fn)
+        want = _golden_max(full_fn, lo, hi, tol)
+        ub = {
+            "tight": fn,
+            "max": lambda x: max(fn(x), want[1]),
+            "slope": lambda x: fn(x) + abs(x - want[0]),
+        }[bound]
+        staged_fn, staged_calls = counted(fn)
+        got = _golden_max(lambda x: (ub(x), lambda: staged_fn(x)), lo, hi, tol, staged=True)
+        assert got == want
+        assert len(staged_calls) <= len(full_calls)
 
     def test_argmax_follows_numpy(self):
         for vals in (
