@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import sys
 import warnings
 from contextlib import nullcontext
@@ -465,18 +466,21 @@ def delay_sweep(
     another scheme by scheme.  Each replication of grid point i is drawn
     once and served under every scheme.  Any other scheme, an alpha
     outside [0, 1], an ``A_bar`` too large for numpy's Poisson sampler,
-    ``n_slots`` < ``MIN_DIAGNOSTIC_SLOTS``, ``n_reps`` < 1 or
-    ``master_seed`` < 0 raises ``ConfigError`` before a point runs."""
+    ``n_slots`` < ``MIN_DIAGNOSTIC_SLOTS``, ``n_reps`` < 1,
+    ``master_seed`` < 0, ``jobs`` < 1, or any of these four not an
+    integer, raises ``ConfigError`` before a point runs or a pool opens."""
     schemes = (scheme,) if isinstance(scheme, str) else tuple(scheme)
     for name in schemes:
         if name not in SCHEMES:
             raise ConfigError(f"unknown scheme {name!r}")
-    if n_slots < MIN_DIAGNOSTIC_SLOTS:
-        raise ConfigError(f"n_slots must be >= {MIN_DIAGNOSTIC_SLOTS}, got {n_slots}")
-    if n_reps < 1:
-        raise ConfigError(f"n_reps must be >= 1, got {n_reps}")
-    if master_seed < 0:
-        raise ConfigError(f"master_seed must be >= 0, got {master_seed}")
+    for name, value, least in (("n_slots", n_slots, MIN_DIAGNOSTIC_SLOTS), ("n_reps", n_reps, 1),
+                               ("master_seed", master_seed, 0), ("jobs", jobs, 1)):
+        try:
+            ok = operator.index(value) >= least
+        except TypeError:
+            raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}") from None
+        if not ok:
+            raise ConfigError(f"{name} must be >= {least}, got {value}")
     # loads the simulator and numpy before a pool forks, so that its
     # workers inherit them rather than each importing its own
     import numpy as np

@@ -26,9 +26,6 @@ class PowerAllocation:
     p_l_d: float
     p_l_r: float = 0.0
 
-    def total(self) -> float:
-        return self.p_h_d + self.p_h_r + self.p_l_d + self.p_l_r
-
 
 @dataclass(frozen=True)
 class RateTargets:

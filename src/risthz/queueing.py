@@ -7,6 +7,7 @@ whole slot, time sharing gives HC a share lam and LC the rest.
 ``draw_slots`` draws Poisson arrivals and i.i.d. channel states per slot;
 ``simulate_phases`` serves the draw, unchanged, so that one draw serves
 every scheme (common random numbers): it decodes the slots by one rule
+per phase, one power allocation and one target rate per stream
 (``decode_slots``), splits the arrivals into HC/LC fractions (fluid
 packets), runs the queues and takes delays from Little's law.
 
@@ -23,15 +24,16 @@ U_t = max(U_{t-1} + a_{t-1} - s_t, 0) with a_{-1} = 0, whose closed form
 evaluates a whole trace with array operations and no slot loop.
 
 Every simulation runs in the ``SlotBuffers`` workspace its caller
-passes, which also fixes its length.  Each stage writes only the arrays
-that ``SlotBuffers`` lists for it, with ``out=``, leaves its inputs
-unchanged and allocates no per-slot array except the integer Poisson
-draws, which numpy cannot write in place.  A trace views its workspace
-until the next simulation there.  ``experiments.delay_sweep`` draws each
-replication once in its thread's workspace (``thread_buffers``), serves
-it under every scheme and keeps only the summaries; one workspace per
-thread makes concurrent sweeps safe, at 10 float and 4 int8 arrays, 84 bytes per slot (1.7 MB
-at 20,000 slots), held until the thread ends or asks for another length.
+passes, which also fixes its length.  Each stage takes the workspace,
+reads its per-slot inputs there, writes only the arrays that
+``SlotBuffers`` lists for it, with ``out=``, and allocates no per-slot
+array except the integer Poisson draws, which numpy cannot write in
+place.  A trace views its workspace until the next simulation there.
+``experiments.delay_sweep`` draws each replication once in its thread's
+workspace (``thread_buffers``), serves it under every scheme and keeps
+only the summaries; one workspace per thread makes concurrent sweeps
+safe, at 10 float and 4 int8 arrays, 84 bytes per slot (1.7 MB at
+20,000 slots), held until the thread ends or asks for another length.
 """
 
 from __future__ import annotations
@@ -84,8 +86,9 @@ class SlotBuffers:
     """The per-slot arrays of one simulation of ``n_slots`` >= 1 slots,
     overwritten by the next simulation in them.
 
-    Each array and the stages that write it, in pipeline order; a draw
-    (``draw_slots``) writes the first five and ``drawn``, serving the rest:
+    Each array and the stages that write it, in pipeline order (the tests
+    hold every stage to its rows); a draw (``draw_slots``) writes the
+    first five and ``drawn``, serving the rest:
 
     ===============  =====================================================
     arrivals         ``sample_arrivals``
@@ -132,36 +135,37 @@ def thread_buffers(n_slots: int) -> SlotBuffers:
     return work
 
 
-def _lindley(service: np.ndarray, arrivals: np.ndarray, out=None, work=None) -> np.ndarray:
+def _lindley(service: np.ndarray, arrivals: np.ndarray, out: np.ndarray,
+             work: np.ndarray) -> np.ndarray:
     """Post-arrival queue lengths Q = U + a, with the waiting backlog U
     in Lindley's closed form (see the module docstring), written into
-    ``out``; ``work`` holds the running minimum.  Either may be None for
-    fresh storage, and neither may alias the inputs."""
-    x = np.empty(len(service)) if out is None else out
-    x[0] = 0.0 - service[0]
-    np.subtract(arrivals[:-1], service[1:], out=x[1:])
-    np.cumsum(x, out=x)
-    # fmin skips the NaNs that minimum propagates, but from a NaN on x is NaN
-    floor = np.fmin.accumulate(x, out=work)
-    x -= np.minimum(floor, 0.0, out=floor)
-    return np.add(x, arrivals, out=x)
+    ``out``; ``work`` holds the running minimum.  Neither may alias the
+    inputs."""
+    out[0] = 0.0 - service[0]
+    np.subtract(arrivals[:-1], service[1:], out=out[1:])
+    np.cumsum(out, out=out)
+    # fmin skips the NaNs that minimum propagates, but from a NaN on out is NaN
+    floor = np.fmin.accumulate(out, out=work)
+    out -= np.minimum(floor, 0.0, out=floor)
+    return np.add(out, arrivals, out=out)
 
 
-def _summarize(trace: QueueTrace, a_split_h: np.ndarray, a_split_l: np.ndarray,
-               work: np.ndarray) -> None:
-    w = int(WARMUP_FRAC * len(trace.q_h))
-    diff = work[: len(trace.q_h) - w]
-    trace.mean_q_h = float(np.mean(np.subtract(trace.q_h[w:], a_split_h[w:], out=diff)))
-    trace.mean_q_l = float(np.mean(np.subtract(trace.q_l[w:], a_split_l[w:], out=diff)))
+def _summarize(trace: QueueTrace, buf: SlotBuffers) -> None:
+    """Attach the summary statistics of the queues and outcomes in
+    ``buf``, whose ``work_a``/``work_b`` hold each class's arrivals."""
+    w = int(WARMUP_FRAC * buf.n_slots)
+    diff = buf.work_c[: buf.n_slots - w]
+    trace.mean_q_h = float(np.mean(np.subtract(buf.q_h[w:], buf.work_a[w:], out=diff)))
+    trace.mean_q_l = float(np.mean(np.subtract(buf.q_l[w:], buf.work_b[w:], out=diff)))
     a_h = trace.alpha * trace.a_bar
     a_l = (1.0 - trace.alpha) * trace.a_bar
     trace.tau_h = trace.mean_q_h / a_h if a_h > 0 else math.nan
     trace.tau_l = trace.mean_q_l / a_l if a_l > 0 else math.nan
-    trace.peak_q_h_norm = float(np.max(trace.q_h)) / a_h if a_h > 0 else math.nan
-    trace.peak_q_l_norm = float(np.max(trace.q_l)) / a_l if a_l > 0 else math.nan
+    trace.peak_q_h_norm = float(np.max(buf.q_h)) / a_h if a_h > 0 else math.nan
+    trace.peak_q_l_norm = float(np.max(buf.q_l)) / a_l if a_l > 0 else math.nan
     # xi is 0/1, so the count over n is its mean to the bit
-    trace.outage_rate_h = 1.0 - np.count_nonzero(trace.xi_h) / len(trace.xi_h)
-    trace.outage_rate_l = 1.0 - np.count_nonzero(trace.xi_l) / len(trace.xi_l)
+    trace.outage_rate_h = 1.0 - np.count_nonzero(buf.xi_h) / buf.n_slots
+    trace.outage_rate_l = 1.0 - np.count_nonzero(buf.xi_l) / buf.n_slots
 
 
 def sample_channel_slots(
@@ -180,29 +184,30 @@ def sample_channel_slots(
 
 def decode_slots(
     cfg: SystemConfig, budget: LinkBudget, hc: PowerAllocation, lc: PowerAllocation,
-    targets: RateTargets, *slots: np.ndarray, buf: SlotBuffers,
+    targets: RateTargets, buf: SlotBuffers,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Decoding outcomes (``xi_h``, ``xi_l`` of ``buf``) over the sampled
-    channel ``slots`` (beta_d, beta_r, eps_d, eps_r) at the sampled fading:
-    HC at the powers ``hc`` of its phase, LC at the powers ``lc`` of its
-    phase (``mcsc.sinr``), each against its target SINR 2^(R/B) - 1
-    (infinite where that overflows, and at least the least positive double
-    where R > 0, so SINR 0 never meets a positive rate; R may be per-slot).
+    """Decoding outcomes (``xi_h``, ``xi_l`` of ``buf``) over the channel
+    slots drawn in ``buf`` (beta_d, beta_r, eps_d, eps_r) at the sampled
+    fading: HC at the powers ``hc`` of its phase, LC at the powers ``lc``
+    of its phase (``mcsc.sinr``), each against its target SINR
+    2^(R/B) - 1 (infinite where that overflows, and at least the least
+    positive double where R > 0, so SINR 0 never meets a positive rate).
     This equals the rate test B log2(1 + SINR) >= R except at exact ties,
     which the decode property test exempts.  LC needs HC's cancellation
     only where an HC stream is superposed on LC's phase
-    (lc.p_h_d + lc.p_h_r > 0, elementwise, so the powers may be per-slot
-    arrays)."""
-    h2, g2 = channel_gains(budget, *slots, out=(buf.h2, buf.g2, buf.work_a))
+    (lc.p_h_d + lc.p_h_r > 0)."""
+    h2, g2 = channel_gains(budget, buf.beta_d, buf.beta_r, buf.eps_d, buf.eps_r,
+                           out=(buf.h2, buf.g2, buf.work_a))
     gam_h, gam_l = sinr(h2, g2, hc, lc, budget.sigma_n2,
                         out=(buf.q_h, buf.q_l, buf.work_a, buf.work_b))
     for gam, rate, ok in ((gam_h, targets.R_h, buf.xi_h), (gam_l, targets.R_l, buf.xi_l)):
         with np.errstate(over="ignore"):
             target = np.expm1(np.log(2.0) * (rate / cfg.B))
-        np.greater_equal(gam, np.where(rate > 0.0, np.maximum(target, _TINY), target), out=ok)
-    # LC decodes only after HC where an HC stream shares its phase
-    np.logical_and(buf.xi_l, buf.xi_h, out=buf.xi_l,
-                   where=np.logical_not(lc.p_h_d + lc.p_h_r <= 0.0))
+        np.greater_equal(gam, max(target, _TINY) if rate > 0.0 else target, out=ok)
+    # LC decodes only after HC where an HC stream shares its phase; NaN
+    # HC powers count as one
+    if not lc.p_h_d + lc.p_h_r <= 0.0:
+        np.logical_and(buf.xi_l, buf.xi_h, out=buf.xi_l)
     return buf.xi_h, buf.xi_l
 
 
@@ -213,29 +218,22 @@ def sample_arrivals(cfg: SystemConfig, rng: np.random.Generator, buf: SlotBuffer
     return buf.arrivals
 
 
-def run_queues(
-    cfg: SystemConfig,
-    arrivals: np.ndarray,
-    service_h: np.ndarray,
-    service_l: np.ndarray,
-    xi_h: np.ndarray,
-    xi_l: np.ndarray,
-    buf: SlotBuffers,
-) -> QueueTrace:
-    """Drive both queue recursions into ``q_h`` and ``q_l`` of ``buf`` and
-    attach summary statistics; the trace holds the inputs as given."""
-    a_h = np.multiply(cfg.alpha, arrivals, out=buf.work_a)
-    a_l = np.multiply(1.0 - cfg.alpha, arrivals, out=buf.work_b)
+def run_queues(cfg: SystemConfig, buf: SlotBuffers) -> QueueTrace:
+    """Drive both queue recursions, at the arrivals and the service
+    amounts (``h2`` for HC, ``g2`` for LC) of ``buf``, into its ``q_h``
+    and ``q_l``, and attach summary statistics; the trace views ``buf``."""
+    np.multiply(cfg.alpha, buf.arrivals, out=buf.work_a)
+    np.multiply(1.0 - cfg.alpha, buf.arrivals, out=buf.work_b)
     trace = QueueTrace(
-        arrivals=arrivals,
-        q_h=_lindley(service_h, a_h, out=buf.q_h, work=buf.work_c),
-        q_l=_lindley(service_l, a_l, out=buf.q_l, work=buf.work_c),
-        xi_h=xi_h,
-        xi_l=xi_l,
+        arrivals=buf.arrivals,
+        q_h=_lindley(buf.h2, buf.work_a, buf.q_h, buf.work_c),
+        q_l=_lindley(buf.g2, buf.work_b, buf.q_l, buf.work_c),
+        xi_h=buf.xi_h,
+        xi_l=buf.xi_l,
         alpha=cfg.alpha,
         a_bar=cfg.A_bar,
     )
-    _summarize(trace, a_h, a_l, buf.work_c)
+    _summarize(trace, buf)
     return trace
 
 
@@ -265,12 +263,11 @@ def simulate_phases(
     ``cfg``'s ``DRAW_FIELDS``; ``cfg.alpha`` may differ."""
     if buffers.drawn != tuple(getattr(cfg, name) for name in DRAW_FIELDS):
         raise ValueError(f"buffers hold no draw for this config's {DRAW_FIELDS}; call draw_slots")
-    slots = (buffers.beta_d, buffers.beta_r, buffers.eps_d, buffers.eps_r)
-    xi_h, xi_l = decode_slots(cfg, budget, hc, lc, rates, *slots, buf=buffers)
+    xi_h, xi_l = decode_slots(cfg, budget, hc, lc, rates, buffers)
     tm = cfg.T / cfg.M
-    service_h = np.multiply(xi_h, shares[0] * tm * rates.R_h, out=buffers.h2)
-    service_l = np.multiply(xi_l, shares[1] * tm * rates.R_l, out=buffers.g2)
-    return run_queues(cfg, buffers.arrivals, service_h, service_l, xi_h, xi_l, buffers)
+    np.multiply(xi_h, shares[0] * tm * rates.R_h, out=buffers.h2)
+    np.multiply(xi_l, shares[1] * tm * rates.R_l, out=buffers.g2)
+    return run_queues(cfg, buffers)
 
 
 def simulate(cfg: SystemConfig, budget: LinkBudget, solve: SolveResult,

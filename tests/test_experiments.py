@@ -673,6 +673,13 @@ class TestDelaySweep:
         ({"n_slots": 0}, "n_slots must be >= 100, got 0"),
         ({"n_slots": 50}, "n_slots must be >= 100, got 50"),
         ({"master_seed": -1}, "master_seed must be >= 0, got -1"),
+        # a float, even a whole one, is no count: numpy or range would
+        # reject it only after the first point's solve
+        ({"n_slots": 2000.0}, r"n_slots must be an integer >= 100, got 2000\.0"),
+        ({"n_reps": 2.5}, r"n_reps must be an integer >= 1, got 2\.5"),
+        ({"master_seed": 1.5}, r"master_seed must be an integer >= 0, got 1\.5"),
+        ({"jobs": 0}, "jobs must be >= 1, got 0"),
+        ({"jobs": -3}, "jobs must be >= 1, got -3"),
     ])
     def test_bad_sizes_rejected_before_any_point(self, cfg, monkeypatch, kwargs, match):
         def no_call(*_args, **_kwargs):
@@ -681,8 +688,8 @@ class TestDelaySweep:
         monkeypatch.setattr(experiments, "_delay_point", no_call)
         monkeypatch.setattr(experiments, "_process_pool", no_call)
         for jobs in (1, 2):
-            with pytest.raises(ValueError, match=match):
-                delay_sweep(cfg, [0.1, 0.2], experiments.SCHEMES, jobs=jobs, **kwargs)
+            with pytest.raises(config.ConfigError, match=match):
+                delay_sweep(cfg, [0.1, 0.2], experiments.SCHEMES, **{"jobs": jobs, **kwargs})
 
     def test_one_draw_per_replication(self, cfg, monkeypatch):
         # both schemes of a grid point serve each replication's one draw

@@ -50,12 +50,17 @@ def scalar_decode(budget, beta, eps, hc, lc, targets, B):
     return (xi_h, int((xi_h or not sic) and r_l >= targets.R_l)), (r_h, r_l)
 
 
+def channel_slots(beta_d, beta_r, eps_d, eps_r):
+    """A workspace holding the given channel slots, where ``decode_slots``
+    reads them."""
+    buf = SlotBuffers(len(eps_d))
+    buf.beta_d[:], buf.beta_r[:], buf.eps_d[:], buf.eps_r[:] = beta_d, beta_r, eps_d, eps_r
+    return buf
+
+
 def decode_one(cfg, budget, beta, eps, hc, lc, targets):
-    xi_h, xi_l = decode_slots(
-        cfg, budget, hc, lc, targets, np.array([beta[0]], dtype=np.int8),
-        np.array([beta[1]], dtype=np.int8), np.array([eps[0]]), np.array([eps[1]]),
-        buf=SlotBuffers(1),
-    )
+    xi_h, xi_l = decode_slots(cfg, budget, hc, lc, targets,
+                              channel_slots([beta[0]], [beta[1]], [eps[0]], [eps[1]]))
     return int(xi_h[0]), int(xi_l[0])
 
 
@@ -173,53 +178,31 @@ class TestDecode:
     def test_sic_consistency_random(self, cfg, budget):
         rng = np.random.default_rng(23)
         n = 200
-        p = PowerAllocation(*rng.uniform(0, 2.5e-3, (4, n)))
-        beta_d, beta_r = rng.integers(2, size=(2, n), dtype=np.int8)
-        eps_d, eps_r = rng.rayleigh(0.2, (2, n))
-        targets = RateTargets(*rng.uniform(0, 5e10, (2, n)))
-        xi_h, xi_l = decode_slots(cfg, budget, p, p, targets, beta_d, beta_r, eps_d, eps_r,
-                                  buf=SlotBuffers(n))
-        assert np.all(xi_l <= xi_h)
+        buf = channel_slots(*rng.integers(2, size=(2, n), dtype=np.int8),
+                            *rng.rayleigh(0.2, (2, n)))
+        for _ in range(20):
+            p = PowerAllocation(*rng.uniform(0, 2.5e-3, 4))
+            targets = RateTargets(*rng.uniform(0, 5e10, 2))
+            xi_h, xi_l = decode_slots(cfg, budget, p, p, targets, buf)
+            assert np.all(xi_l <= xi_h)
 
     def test_overflowing_target_decodes_nowhere(self, cfg, budget):
         # 2^(R/B) overflows at R = 1e15, B = 10 GHz: the target SINR is
         # infinite and no slot reaches it, with no warning raised
         rng = np.random.default_rng(3)
-        beta = np.ones((2, 500), dtype=np.int8)
-        eps = rng.rayleigh(0.05, (2, 500))
+        slots = (*np.ones((2, 500), dtype=np.int8), *rng.rayleigh(0.05, (2, 500)))
         p = PowerAllocation(5e-3, 4e-3, 1e-3)
         silent = PowerAllocation(0.0, 0.0, 1e-3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            xi_h, _ = decode_slots(cfg, budget, p, p, RateTargets(1e15, 0.0), *beta, *eps,
-                                   buf=SlotBuffers(500))
+            xi_h, _ = decode_slots(cfg, budget, p, p, RateTargets(1e15, 0.0),
+                                   channel_slots(*slots))
             _, xi_l = decode_slots(cfg, budget, silent, silent, RateTargets(0.0, 1e15),
-                                   *beta, *eps, buf=SlotBuffers(500))
-            reachable = decode_slots(cfg, budget, p, p, RateTargets(1e6, 1e6), *beta, *eps,
-                                     buf=SlotBuffers(500))
+                                   channel_slots(*slots))
+            reachable = decode_slots(cfg, budget, p, p, RateTargets(1e6, 1e6),
+                                     channel_slots(*slots))
         assert not xi_h.any() and not xi_l.any()
         assert reachable[0].all() and reachable[1].all()
-
-    def test_per_slot_targets_match_scalar_targets(self, cfg, budget):
-        rng = np.random.default_rng(29)
-        n = 400
-        p = PowerAllocation(2e-3, 2e-3, 1e-3)
-        beta = rng.integers(2, size=(2, n), dtype=np.int8)
-        eps = rng.rayleigh(0.2, (2, n))
-        levels = np.array([0.0, 1e9, 1e10, 4e10, 1e15])
-        r_h, r_l = levels[rng.integers(len(levels), size=(2, n))]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = decode_slots(cfg, budget, p, p, RateTargets(r_h, r_l), *beta, *eps,
-                               buf=SlotBuffers(n))
-            for a in levels:
-                for b in levels:
-                    want = decode_slots(cfg, budget, p, p, RateTargets(a, b), *beta, *eps,
-                                        buf=SlotBuffers(n))
-                    at = (r_h == a) & (r_l == b)
-                    assert np.array_equal(got[0][at], want[0][at])
-                    assert np.array_equal(got[1][at], want[1][at])
-        assert 0 < got[0].sum() < n and 0 < got[1].sum() < n
 
     @given(
         p=st.tuples(*[st.floats(0.0, 2.5e-3)] * 4).map(lambda v: PowerAllocation(*v)),
@@ -243,10 +226,7 @@ class TestDecode:
         if phased:
             hc = PowerAllocation(p.p_h_d, p.p_h_r, 0.0, 0.0)
             lc = PowerAllocation(0.0, 0.0, p.p_l_d, p.p_l_r)
-        xi_h, xi_l = decode_slots(
-            cfg, budget, hc, lc, targets, blocks[0], blocks[1], eps[0], eps[1],
-            buf=SlotBuffers(20),
-        )
+        xi_h, xi_l = decode_slots(cfg, budget, hc, lc, targets, channel_slots(*blocks, *eps))
         gated = lc.p_h_d + lc.p_h_r > 0.0
         for t in range(20):
             (want_h, want_l), (r_h, r_l) = scalar_decode(

@@ -1,6 +1,8 @@
 """Queue-recursion, simulation, and stability-diagnostic tests."""
 
+import inspect
 import math
+import re
 import threading
 from functools import partial
 
@@ -10,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from risthz import queueing
 from risthz.channel import channel_gains, derive_link_budget
 from risthz.config import SystemConfig
 from risthz.experiments import delay_sweep, simulate_time_sharing, time_sharing_point
@@ -40,13 +43,18 @@ def loop_recursion(service, arrivals):
     return q
 
 
+def lindley(service, arrivals):
+    """``_lindley`` into fresh storage."""
+    return _lindley(service, arrivals, np.empty(len(service)), np.empty(len(service)))
+
+
 def queues(cfg, arrivals, service_h, service_l):
-    """Run both queues over a few slots with every slot decoded."""
-    ones = np.ones(len(arrivals), dtype=np.int8)
-    return run_queues(
-        cfg, np.asarray(arrivals, float), np.asarray(service_h, float),
-        np.asarray(service_l, float), ones, ones, SlotBuffers(len(arrivals)),
-    )
+    """Run both queues over a few slots with every slot decoded: the
+    arrivals and service amounts sit where ``run_queues`` reads them."""
+    buf = SlotBuffers(len(arrivals))
+    buf.arrivals[:], buf.h2[:], buf.g2[:] = arrivals, service_h, service_l
+    buf.xi_h[:] = buf.xi_l[:] = 1
+    return run_queues(cfg, buf)
 
 
 class TestStep:
@@ -77,7 +85,7 @@ class TestLindley:
         service = data.draw(hnp.arrays(
             np.float64, len(arrivals), elements=st.floats(0.0, 2000.0)
         ))
-        got = _lindley(service, arrivals)
+        got = lindley(service, arrivals)
         # cumsum rounds its partial sums in another order than the loop, so
         # the two agree to a few ulps of the running total.
         tol = 8 * len(arrivals) * np.finfo(float).eps * (
@@ -90,11 +98,11 @@ class TestLindley:
     def test_zero_service_accumulates(self, amounts):
         # without service both forms add the same arrivals in the same order
         zero = np.zeros_like(amounts)
-        assert np.array_equal(_lindley(zero, amounts), loop_recursion(zero, amounts))
+        assert np.array_equal(lindley(zero, amounts), loop_recursion(zero, amounts))
 
     @given(amounts=amounts)
     def test_zero_arrivals_stay_empty(self, amounts):
-        assert np.all(_lindley(amounts, np.zeros_like(amounts)) == 0.0)
+        assert np.all(lindley(amounts, np.zeros_like(amounts)) == 0.0)
 
 
 class TestSimulate:
@@ -215,6 +223,23 @@ def entries(cfg, budget):
             for name, serve in servers(cfg, budget).items()}
 
 
+def workspace_table():
+    """The ``SlotBuffers`` docstring table as {array: stages that write it},
+    naming only the ``queueing`` functions among each row's literals."""
+    lines = inspect.cleandoc(SlotBuffers.__doc__).splitlines()
+    top, bottom = [i for i, line in enumerate(lines) if line.startswith("====")]
+    width = lines[top].index(" ")
+    table = {}
+    for line in lines[top + 1:bottom]:
+        if line[:width].strip():
+            names = [name.strip() for name in line[:width].split(",")]
+        for word in re.findall(r"``(\w+)``", line[width:]):
+            if inspect.isfunction(getattr(queueing, word, None)):
+                for name in names:
+                    table.setdefault(name, []).append(word)
+    return table
+
+
 class TestSlotBuffers:
     def test_one_workspace_per_thread_and_length(self):
         a = thread_buffers(1500)
@@ -265,8 +290,9 @@ class TestSlotBuffers:
         slots = sample_channel_slots(cfg, rng, work)
         names = ("beta_d", "beta_r", "eps_d", "eps_r")
         assert all(x is getattr(work, name) for x, name in zip(slots, names))
-        xi = decode_slots(cfg, budget, p.p, p.p, p.R, *slots, buf=work)
+        xi = decode_slots(cfg, budget, p.p, p.p, p.R, work)
         assert xi[0] is work.xi_h and xi[1] is work.xi_l
+        assert run_queues(cfg, work).q_h is work.q_h
         assert {x.dtype for x in (*slots[:2], *xi)} == {np.dtype(np.int8)}
 
     def test_decode_and_gains_leave_inputs_unchanged(self, cfg, budget):
@@ -275,13 +301,60 @@ class TestSlotBuffers:
         # the pipeline's own layout: the slots sit in the workspace they decode in
         slots = sample_channel_slots(cfg, np.random.default_rng(8), work)
         kept = [x.copy() for x in slots]
-        want = decode_slots(cfg, budget, p.p, p.p, p.R, *kept, buf=SlotBuffers(1000))
-        got = decode_slots(cfg, budget, p.p, p.p, p.R, *slots, buf=work)
+        other = SlotBuffers(1000)
+        other.beta_d[:], other.beta_r[:], other.eps_d[:], other.eps_r[:] = kept
+        want = decode_slots(cfg, budget, p.p, p.p, p.R, other)
+        got = decode_slots(cfg, budget, p.p, p.p, p.R, work)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
         gains = channel_gains(budget, *slots, out=(work.h2, work.g2, work.work_a))
         assert all(np.array_equal(a, b) for a, b in zip(gains, channel_gains(budget, *kept)))
         for before, after in zip(kept, slots):
             assert np.array_equal(before, after)
+
+    @pytest.mark.parametrize("entry", ["simulate", "simulate_time_sharing"])
+    def test_stages_write_only_their_table_rows(self, cfg, budget, entry, monkeypatch):
+        # one draw and one serve, stage by stage: each stretch between two
+        # stage boundaries belongs to the innermost stage running, and may
+        # change only the arrays the SlotBuffers table gives that stage
+        writes = {}
+        for name, stages in workspace_table().items():
+            for stage in stages:
+                writes.setdefault(stage, set()).add(name)
+        work, arrays = SlotBuffers(2000), SlotBuffers.FLOATS + SlotBuffers.INDICATORS
+        for name in arrays:
+            getattr(work, name).fill(-3)  # no stage writes -3 to a whole array
+
+        def snapshot():
+            kept = {name: getattr(work, name).tobytes() for name in arrays}
+            return {"drawn": work.drawn, **kept}
+
+        marks, running = [(None, snapshot())], []  # (stage running after the mark, snapshot)
+        for stage in writes:
+            def wrapper(*args, _fn=getattr(queueing, stage), _stage=stage, **kwargs):
+                running.append(_stage)
+                marks.append((_stage, snapshot()))
+                try:
+                    return _fn(*args, **kwargs)
+                finally:
+                    running.pop()
+                    marks.append((running[-1] if running else None, snapshot()))
+            monkeypatch.setattr(queueing, stage, wrapper)
+        queueing.draw_slots(cfg, work, seed=3)
+        drawn = snapshot()
+        servers(cfg, budget)[entry](work)
+
+        changed = {stage: set() for stage in (None, *writes)}
+        for (stage, before), (_, after) in zip(marks, marks[1:]):
+            changed[stage] |= {name for name in before if before[name] != after[name]}
+        for stage, names in changed.items():
+            assert names <= writes.get(stage, set()), stage
+        # every stage ran, and every array was written by one of them
+        assert {stage for stage, _ in marks} == {None, *writes}
+        assert set().union(*changed.values()) == set(marks[0][1])
+        # serving leaves the draw as draw_slots left it
+        served = snapshot()
+        for name in (*TestDraw.DRAW_ARRAYS, "drawn"):
+            assert served[name] == drawn[name], name
 
 
 class TestDraw:
