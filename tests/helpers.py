@@ -36,13 +36,13 @@ def logged_surrogate(values):
         at = surrogate_objective(*args)
 
         def at_x(x):
-            fy, d_l = at(x)
+            fy, *bounds = at(x)
 
             def logged(y):
                 values.append(fy(y))
                 return values[-1]
 
-            return logged, d_l
+            return logged, *bounds
 
         return at_x
 

@@ -19,6 +19,7 @@ from risthz.config import SystemConfig
 from risthz.mcsc import OutageProbs, PowerAllocation, RateTargets, outage_probs
 from risthz.optimizer import (
     Frontier,
+    QuadTransformState,
     SolveResult,
     _argmax,
     _evaluate,
@@ -196,15 +197,28 @@ class TestSubproblem:
         assert min(res.delta) >= min(_evaluate(p0, cfg, budget, out)[1]) - 1e-9 * cfg.A_bar
 
 
-def reference_surrogate(mu, cfg, budget, outage, x, y):
-    """The surrogate objective at p = (y, P_max - x - y, x) from the
-    readable per-point functions."""
+def reference_gaps(mu, cfg, budget, outage, x, y):
+    """The surrogate's (HC gap, LC gap) at p = (y, P_max - x - y, x) from
+    the readable per-point functions; the surrogate is their min."""
     p = PowerAllocation(y, (cfg.P_max - x) - y, x)
     R = RateTargets(
         cfg.B * math.log2(1.0 + surrogate_gamma_h(p, mu, budget)),
         cfg.B * math.log2(1.0 + surrogate_gamma_l(p, mu, budget)),
     )
-    return min(stability_gaps(R, cfg, outage))
+    return stability_gaps(R, cfg, outage)
+
+
+def random_subproblem(seed, alpha):
+    """(cfg, budget, outage, mu) from ``random_config``, with alpha
+    replaced unless None.  mu comes from a random point of the 3-simplex,
+    with some powers zeroed so that zero multipliers occur as well."""
+    rng = np.random.default_rng(seed)
+    c = random_config(rng)
+    if alpha is not None:
+        c = c.with_(alpha=alpha)
+    b = derive_link_budget(c)
+    p0 = rng.dirichlet(np.ones(4)) * c.P_max * (rng.random(4) < 0.8)
+    return c, b, outage_probs(c, b), update_mu(PowerAllocation(*p0), b)
 
 
 class TestSurrogateObjective:
@@ -225,11 +239,25 @@ class TestSurrogateObjective:
         for u, v in corners + rng.random((16, 2)).tolist():
             x = u * c.P_max
             y = v * (c.P_max - x)
-            assert at(x)[0](y).hex() == reference_surrogate(mu, c, b, out, x, y).hex()
+            assert at(x)[0](y).hex() == min(reference_gaps(mu, c, b, out, x, y)).hex()
+
+    @given(seed=st.integers(0, 2**32 - 1), alpha=st.sampled_from([None, 0.0, 1.0]),
+           u=st.floats(0.0, 1.0), v=st.floats(-1.0, 2.0))
+    def test_hc_bound_holds_at_every_split(self, seed, alpha, u, v):
+        # y0 = v P_max may lie outside [0, P_max - x]; the grid holds both
+        # ends of the split exactly
+        c, b, out, mu = random_subproblem(seed, alpha)
+        x = u * c.P_max
+        rem = c.P_max - x
+        fy, _, bound_h = surrogate_objective(mu, c, b, out)(x)
+        h = bound_h(v * c.P_max)
+        for y in (rem * i / 64 for i in range(65)):
+            assert fy(y) <= h
+            assert reference_gaps(mu, c, b, out, x, y)[0] <= h
 
 
 def solve_subproblem_reference(at, P):
-    """``solve_subproblem``'s nested search before its LC-gap bounds: every
+    """``solve_subproblem``'s nested search without its bounds: every
     outer point runs its inner search in full.  Returns (powers, objective)."""
     tol = 1e-8 * max(P, 1e-30)
 
@@ -248,16 +276,7 @@ def power_hexes(p):
 class TestBoundedSubproblem:
     @given(seed=st.integers(0, 2**32 - 1), alpha=st.sampled_from([None, 0.0, 1.0]))
     def test_equals_full_search_bit_for_bit(self, seed, alpha):
-        # mu comes from a random point of the 3-simplex, with some powers
-        # zeroed so that zero multipliers occur as well
-        rng = np.random.default_rng(seed)
-        c = random_config(rng)
-        if alpha is not None:
-            c = c.with_(alpha=alpha)
-        b = derive_link_budget(c)
-        out = outage_probs(c, b)
-        p0 = rng.dirichlet(np.ones(4)) * c.P_max * (rng.random(4) < 0.8)
-        mu = update_mu(PowerAllocation(*p0), b)
+        c, b, out, mu = random_subproblem(seed, alpha)
         full_values, bounded_values = [], []
         want_p, want_obj = solve_subproblem_reference(
             logged_surrogate(full_values)(mu, c, b, out), c.P_max)
@@ -266,8 +285,46 @@ class TestBoundedSubproblem:
             got = solve_subproblem(mu, c, b, outage=out)
         assert power_hexes(got.p) == power_hexes(want_p)
         assert got.objective.hex() == want_obj.hex()
-        assert len(bounded_values) <= len(full_values)
+        assert 0 < len(bounded_values) <= len(full_values)
         assert not any(math.isnan(v) for v in full_values + bounded_values)
+
+    def test_nan_single_path_multipliers_bound_nothing(self, cfg, budget):
+        # fy skips NaN terms, so the HC gap follows state (1,1) alone and
+        # the single-path terms may not bound it
+        out = outage_probs(cfg, budget)
+        mu = update_mu(third_point(cfg), budget)
+        mu = QuadTransformState(math.nan, math.nan, mu.mu_h_11, mu.mu_l)
+        want_p, want_obj = solve_subproblem_reference(
+            surrogate_objective(mu, cfg, budget, out), cfg.P_max)
+        got = solve_subproblem(mu, cfg, budget, outage=out)
+        assert power_hexes(got.p) == power_hexes(want_p)
+        assert got.objective.hex() == want_obj.hex()
+
+
+def full_search_subproblem(mu, cfg, budget, outage):
+    """``solve_subproblem`` by ``solve_subproblem_reference``."""
+    p, obj = solve_subproblem_reference(
+        surrogate_objective(mu, cfg, budget, outage), cfg.P_max)
+    R, d = _evaluate(p, cfg, budget, outage)
+    return SolveResult(p=p, R=R, delta=d, objective=obj, iterations=1, converged=True)
+
+
+def solve_hexes(res):
+    values = (*astuple(res.p), res.R.R_h, res.R.R_l, *res.delta, res.objective)
+    return ([v.hex() for v in values], res.iterations, res.converged,
+            [v.hex() for v in res.objective_trace])
+
+
+class TestBoundedSca:
+    @pytest.mark.parametrize("case", range(22))
+    def test_iterates_equal_full_search_bit_for_bit(self, monkeypatch, case):
+        # 20 random configs, then two at the vacuous-gap ends alpha = 0, 1
+        c = random_config(np.random.default_rng([43, case]))
+        c = c.with_(alpha=float(case - 20)) if case >= 20 else c
+        b = derive_link_budget(c)
+        got = sca_solve(c, b)
+        monkeypatch.setattr(optimizer, "solve_subproblem", full_search_subproblem)
+        assert solve_hexes(got) == solve_hexes(sca_solve(c, b))
 
 
 def golden_max_reference(fn, lo, hi, tol):
